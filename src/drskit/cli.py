@@ -9,30 +9,28 @@ echo and reproduces the outputs byte for byte.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import traceback
 from collections import defaultdict
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
+# Only modules that import no scipy are imported here.  drs, rdmodel,
+# rcql and protocol load scipy (about a second of start-up), so each
+# command imports them in its body and pays for them only when it runs.
 from . import __version__, io
 from .avc.features import extract_gop_features
-from .drs import bd_rate, gain_distribution, simulate, trace_rd_points
 from .errors import InputError, ToolkitError
 from .ladder import (
     LadderProblem,
-    QualityLog,
     best_resolution_probability,
     cumulative_probability,
     optimize_ladder_exhaustive,
     optimize_ladder_greedy,
     weights_from_bandwidth,
 )
-from .protocol import CvConfig, cross_validate, greedy_feature_selection
-from .rcql import build_report
-from .rdmodel import RDCurve, find_crossover, fit_logistic
 from .vqm import (
     DEFAULT_BASE_FEATURES,
     Hyperparams,
@@ -41,6 +39,9 @@ from .vqm import (
     predict_batch,
     train,
 )
+
+if TYPE_CHECKING:
+    from .rdmodel import RDCurve
 
 __all__ = ["main"]
 
@@ -105,6 +106,8 @@ def _add_hyperparam_args(p: argparse.ArgumentParser) -> None:
 
 def _mean_rd_curves(args) -> dict[str, dict[tuple[int, int], RDCurve]]:
     """Per (content, resolution) RD curves from either input kind."""
+    from .rdmodel import RDCurve
+
     curves: dict[str, dict[tuple[int, int], RDCurve]] = defaultdict(dict)
     if args.quality_log:
         log = io.load_quality_log(args.quality_log, args.units)
@@ -161,6 +164,8 @@ def cmd_extract_features(args, argv) -> int:
 
 
 def cmd_fit(args, argv) -> int:
+    from .rdmodel import fit_logistic
+
     curves = _mean_rd_curves(args)
     fits = []
     for content in sorted(curves):
@@ -191,6 +196,8 @@ def cmd_fit(args, argv) -> int:
 
 
 def cmd_crossover(args, argv) -> int:
+    from .rdmodel import find_crossover, fit_logistic
+
     curves = _mean_rd_curves(args)
     results = []
     for content in sorted(curves):
@@ -239,6 +246,8 @@ def cmd_crossover(args, argv) -> int:
 
 
 def cmd_bench_rcql(args, argv) -> int:
+    from .rcql import build_report
+
     points = io.load_scored_points(args.scored_points, args.units)
     pairs = [_parse_pair(p) for p in args.pairs.split(",")] if args.pairs else None
     report = build_report(points, pairs=pairs, tie_eps=args.tie_eps)
@@ -288,7 +297,7 @@ def cmd_select_ladder(args, argv) -> int:
     solution = solver(problem)
     out = Path(args.out)
     io.write_json(out / "ladder_solution.json", io.solution_to_dict(solution))
-    io.save_ladder(out / "ladder.json", io.solution_from_dict(io.solution_to_dict(solution)))
+    io.save_ladder(out / "ladder.json", solution.rung_map())
     _echo_config(out, "select-ladder", argv, args)
     print(f"selected {len(solution.selected)} representations, objective {solution.objective:.6f}")
     return 0
@@ -300,6 +309,9 @@ def _write_trace_outputs(out: Path, name: str, trace) -> None:
 
 
 def cmd_simulate(args, argv) -> int:
+    from .drs import simulate, trace_rd_points
+    from .rdmodel import fit_logistic
+
     log = io.load_quality_log(args.log, args.units)
     ladder = io.load_ladder_or_solution(args.ladder, args.units)
     trace = simulate(log, ladder, granularity_gops=args.granularity)
@@ -337,6 +349,8 @@ def cmd_simulate(args, argv) -> int:
 
 
 def _write_bd_and_gains(out: Path, baseline_trace, drs_trace) -> None:
+    from .drs import bd_rate, gain_distribution, trace_rd_points
+
     bd = bd_rate(trace_rd_points(baseline_trace), trace_rd_points(drs_trace))
     io.write_json(
         out / "bd_report.json",
@@ -360,41 +374,9 @@ def _write_bd_and_gains(out: Path, baseline_trace, drs_trace) -> None:
     io.write_json(out / "gains_summary.json", gains_summary)
 
 
-def _trace_from_json(path) -> "object":
-    from .drs import DrsTrace
-
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    rungs = tuple(float(b) for b in doc["rungs"])
-    resolutions = tuple((int(r[0]), int(r[1])) for r in doc["resolutions"])
-    n = int(doc["n_gops"])
-    gop_ids = []
-    chosen_res = np.zeros((n, len(rungs)), dtype=np.int64)
-    chosen_score = np.zeros((n, len(rungs)))
-    sel = doc["selections"]
-    if len(sel) != n * len(rungs):
-        raise InputError(f"trace file {path} has {len(sel)} selections, expected {n * len(rungs)}")
-    for i in range(n):
-        block = sel[i * len(rungs) : (i + 1) * len(rungs)]
-        gop_ids.append((block[0]["content_id"], int(block[0]["gop_index"])))
-        for j, entry in enumerate(block):
-            chosen_res[i, j] = resolutions.index(tuple(entry["resolution"]))
-            chosen_score[i, j] = float(entry["score"])
-    return DrsTrace(
-        rungs=rungs,
-        resolutions=resolutions,
-        gop_ids=tuple(gop_ids),
-        granularity_gops=int(doc["granularity_gops"]),
-        chosen_res=chosen_res,
-        chosen_score=chosen_score,
-        per_rung_mean=chosen_score.mean(axis=0),
-        flips=np.asarray(doc["flips"], dtype=np.int64),
-    )
-
-
 def cmd_report(args, argv) -> int:
-    baseline_trace = _trace_from_json(args.baseline_trace)
-    drs_trace = _trace_from_json(args.drs_trace)
+    baseline_trace = io.load_trace(args.baseline_trace)
+    drs_trace = io.load_trace(args.drs_trace)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_bd_and_gains(out, baseline_trace, drs_trace)
@@ -434,6 +416,8 @@ def cmd_train(args, argv) -> int:
 
 
 def cmd_cv(args, argv) -> int:
+    from .protocol import CvConfig, cross_validate
+
     records, schema = io.load_feature_log(args.features, args.units)
     cv = CvConfig(folds=args.folds, runs=args.runs, seed=args.seed)
     result = cross_validate(
@@ -463,6 +447,8 @@ def cmd_cv(args, argv) -> int:
 
 
 def cmd_gfs(args, argv) -> int:
+    from .protocol import CvConfig, greedy_feature_selection
+
     records, schema = io.load_feature_log(args.features, args.units)
     cv = CvConfig(folds=args.folds, runs=args.runs, seed=args.seed)
     result = greedy_feature_selection(
@@ -494,11 +480,13 @@ def cmd_gfs(args, argv) -> int:
 
 
 def cmd_replay(args, argv) -> int:
-    with open(args.config, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("tool") != "drskit":
+    doc = io.read_json(args.config)
+    if not isinstance(doc, dict) or doc.get("tool") != "drskit":
         raise InputError(f"{args.config} is not a drskit run config")
-    return main(doc["argv"])
+    replay_argv = doc.get("argv")
+    if not isinstance(replay_argv, list) or not all(isinstance(a, str) for a in replay_argv):
+        raise InputError(f"{args.config}: 'argv' must be a list of strings")
+    return main(replay_argv)
 
 
 def _build_parser() -> argparse.ArgumentParser:

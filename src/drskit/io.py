@@ -21,16 +21,20 @@ Bitrates are stored in kbps; pass units="mbps" to convert on ingestion.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import CsvSchemaError, InputError
 from .ladder import LadderSolution, ProbabilityTable, QualityLog
-from .rcql import RcqlReport, ScoredPoint
 from .vqm import FeatureSchema, GopRecord
+
+if TYPE_CHECKING:  # rcql imports scipy; load_scored_points imports it when called
+    from .rcql import RcqlReport, ScoredPoint
 
 __all__ = [
     "QUALITY_LOG_COLUMNS",
@@ -56,10 +60,13 @@ __all__ = [
     "manifest_to_dict",
     "save_manifest",
     "load_segment_metadata",
+    "read_json",
     "write_json",
     "write_probability_csv",
     "write_rcql_csv",
     "trace_to_dict",
+    "trace_from_dict",
+    "load_trace",
     "write_trace_csv",
     "write_histogram_csv",
     "write_cv_rows_csv",
@@ -107,6 +114,13 @@ def _float(text: str, column: str, row: int) -> float:
     return v
 
 
+def _bitrate_cell(text: str, scale: float, row: int) -> float:
+    bitrate = scale * _float(text, "bitrate_kbps", row)
+    if bitrate <= 0:
+        raise CsvSchemaError(f"bitrate_kbps must be > 0, got {bitrate}", row)
+    return bitrate
+
+
 def _int(text: str, column: str, row: int) -> int:
     try:
         return int(text)
@@ -146,7 +160,7 @@ def load_quality_log(path, units: str = "kbps") -> QualityLog:
             (
                 row["content_id"],
                 _int(row["gop_index"], "gop_index", i),
-                scale * _float(row["bitrate_kbps"], "bitrate_kbps", i),
+                _bitrate_cell(row["bitrate_kbps"], scale, i),
                 (_int(row["width"], "width", i), _int(row["height"], "height", i)),
                 _float(row["vqm_score"], "vqm_score", i),
             )
@@ -164,6 +178,8 @@ def write_quality_log(path, records) -> None:
 
 
 def load_scored_points(path, units: str = "kbps") -> list[ScoredPoint]:
+    from .rcql import ScoredPoint
+
     scale = unit_scale(units)
     _, rows = _read_rows(path, SCORED_POINT_COLUMNS)
     points = []
@@ -172,7 +188,7 @@ def load_scored_points(path, units: str = "kbps") -> list[ScoredPoint]:
             ScoredPoint(
                 content_id=row["content_id"],
                 resolution=parse_resolution(row["resolution"], i),
-                bitrate_kbps=scale * _float(row["bitrate_kbps"], "bitrate_kbps", i),
+                bitrate_kbps=_bitrate_cell(row["bitrate_kbps"], scale, i),
                 subjective_jod=_float(row["subjective_jod"], "subjective_jod", i),
                 objective_score=_float(row["objective_score"], "objective_score", i),
             )
@@ -193,9 +209,7 @@ def load_feature_log(path, units: str = "kbps") -> tuple[list[GopRecord], Featur
     has_label = LABEL_COLUMN in header
     records = []
     for i, row in rows:
-        bitrate = scale * _float(row["bitrate_kbps"], "bitrate_kbps", i)
-        if bitrate <= 0:
-            raise CsvSchemaError(f"bitrate_kbps must be > 0, got {bitrate}", i)
+        bitrate = _bitrate_cell(row["bitrate_kbps"], scale, i)
         w = _int(row["width"], "width", i)
         h = _int(row["height"], "height", i)
         if w <= 0 or h <= 0:
@@ -230,13 +244,55 @@ def write_feature_log(path, content_id: str, rows) -> None:
             )
 
 
+def _json_fields(parse):
+    """Make a parser of a decoded JSON document raise InputError, not
+    KeyError/TypeError/..., when a field is missing or has the wrong type."""
+
+    @functools.wraps(parse)
+    def checked(doc, *args):
+        try:
+            return parse(doc, *args)
+        except (AttributeError, IndexError, KeyError, OverflowError, TypeError, ValueError) as exc:
+            raise InputError(f"missing or malformed field ({type(exc).__name__}: {exc})") from None
+
+    return checked
+
+
+def read_json(path):
+    """Decode the JSON file at ``path``; a syntax error is an InputError
+    that names the file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+            raise InputError(f"{path}: not valid JSON ({exc})") from None
+
+
+def _load_json(path, parse, *args):
+    """``parse(doc, *args)`` of the JSON file at ``path``; every InputError
+    names the file."""
+    doc = read_json(path)
+    try:
+        return parse(doc, *args)
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from None
+
+
+def _bitrate(value, scale: float) -> float:
+    b = scale * float(value)
+    if not (math.isfinite(b) and b > 0):
+        raise InputError(f"bitrate {value!r} must be finite and > 0")
+    return b
+
+
+@_json_fields
 def _parse_rungs(doc: dict, units: str) -> dict[float, list[tuple[int, int]]]:
     scale = unit_scale(units)
     if "rungs" not in doc:
         raise InputError("ladder JSON must contain a 'rungs' list")
     out: dict[float, list[tuple[int, int]]] = {}
     for entry in doc["rungs"]:
-        b = scale * float(entry["bitrate_kbps"])
+        b = _bitrate(entry["bitrate_kbps"], scale)
         res = [(int(r[0]), int(r[1])) for r in entry["resolutions"]]
         if b in out:
             raise InputError(f"duplicate rung {b} in ladder")
@@ -249,8 +305,7 @@ def _parse_rungs(doc: dict, units: str) -> dict[float, list[tuple[int, int]]]:
 
 
 def load_ladder(path, units: str = "kbps") -> dict[float, list[tuple[int, int]]]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return _parse_rungs(json.load(fh), units)
+    return _load_json(path, _parse_rungs, units)
 
 
 def save_ladder(path, ladder: dict[float, list[tuple[int, int]]]) -> None:
@@ -283,29 +338,35 @@ def solution_to_dict(solution: LadderSolution) -> dict:
     }
 
 
+@_json_fields
 def solution_from_dict(doc: dict) -> dict[float, list[tuple[int, int]]]:
     out: dict[float, list[tuple[int, int]]] = {}
     for entry in doc["selected"]:
-        out.setdefault(float(entry["bitrate_kbps"]), []).append(tuple(int(v) for v in entry["resolution"]))
+        out.setdefault(_bitrate(entry["bitrate_kbps"], 1.0), []).append(tuple(int(v) for v in entry["resolution"]))
     return out
 
 
-def load_ladder_or_solution(path, units: str = "kbps") -> dict[float, list[tuple[int, int]]]:
-    """Accept either a ladder document or an optimizer solution."""
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if "selected" in doc:
+def _parse_ladder_or_solution(doc, units: str) -> dict[float, list[tuple[int, int]]]:
+    if isinstance(doc, dict) and "selected" in doc:
         return solution_from_dict(doc)
     return _parse_rungs(doc, units)
 
 
-def load_weights(path, units: str = "kbps") -> dict[float, float]:
+def load_ladder_or_solution(path, units: str = "kbps") -> dict[float, list[tuple[int, int]]]:
+    """Accept either a ladder document or an optimizer solution."""
+    return _load_json(path, _parse_ladder_or_solution, units)
+
+
+@_json_fields
+def _parse_weights(doc, units: str) -> dict[float, float]:
     scale = unit_scale(units)
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
     if not isinstance(doc, dict) or not doc:
         raise InputError("weights JSON must be a non-empty {bitrate: weight} object")
-    return {scale * float(k): float(v) for k, v in doc.items()}
+    return {_bitrate(k, scale): float(v) for k, v in doc.items()}
+
+
+def load_weights(path, units: str = "kbps") -> dict[float, float]:
+    return _load_json(path, _parse_weights, units)
 
 
 def load_bandwidth_samples(path, units: str = "kbps") -> list[float]:
@@ -341,20 +402,16 @@ def save_manifest(path, manifest) -> None:
     write_json(path, manifest_to_dict(manifest))
 
 
-def load_segment_metadata(path, units: str = "kbps"):
-    """Read per-segment representation metadata (the packager's input):
-    segment index plus one scored entry per encoded representation.
-    Returns ``(segment_index, [ManifestEntry, ...])``."""
+@_json_fields
+def _parse_segment_metadata(doc, units: str):
     from .drs import ManifestEntry
 
     scale = unit_scale(units)
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
     if "entries" not in doc:
         raise InputError("segment metadata JSON must contain an 'entries' list")
     entries = [
         ManifestEntry(
-            bitrate_kbps=scale * float(e["bitrate_kbps"]),
+            bitrate_kbps=_bitrate(e["bitrate_kbps"], scale),
             resolution=(int(e["resolution"][0]), int(e["resolution"][1])),
             locator=str(e.get("locator", "")),
             quality_score=float(e["quality_score"]),
@@ -362,6 +419,13 @@ def load_segment_metadata(path, units: str = "kbps"):
         for e in doc["entries"]
     ]
     return int(doc.get("segment_index", 0)), entries
+
+
+def load_segment_metadata(path, units: str = "kbps"):
+    """Read per-segment representation metadata (the packager's input):
+    segment index plus one scored entry per encoded representation.
+    Returns ``(segment_index, [ManifestEntry, ...])``."""
+    return _load_json(path, _parse_segment_metadata, units)
 
 
 def write_json(path, obj) -> None:
@@ -449,6 +513,43 @@ def trace_to_dict(trace) -> dict:
             for j in range(len(trace.rungs))
         ],
     }
+
+
+@_json_fields
+def trace_from_dict(doc: dict):
+    """Inverse of ``trace_to_dict``: rebuild the ``DrsTrace``."""
+    from .drs import DrsTrace
+
+    rungs = tuple(float(b) for b in doc["rungs"])
+    resolutions = tuple((int(r[0]), int(r[1])) for r in doc["resolutions"])
+    n = int(doc["n_gops"])
+    gop_ids = []
+    chosen_res = np.zeros((n, len(rungs)), dtype=np.int64)
+    chosen_score = np.zeros((n, len(rungs)))
+    sel = doc["selections"]
+    if len(sel) != n * len(rungs):
+        raise InputError(f"trace has {len(sel)} selections, expected {n * len(rungs)}")
+    for i in range(n):
+        block = sel[i * len(rungs) : (i + 1) * len(rungs)]
+        gop_ids.append((block[0]["content_id"], int(block[0]["gop_index"])))
+        for j, entry in enumerate(block):
+            chosen_res[i, j] = resolutions.index(tuple(entry["resolution"]))
+            chosen_score[i, j] = float(entry["score"])
+    return DrsTrace(
+        rungs=rungs,
+        resolutions=resolutions,
+        gop_ids=tuple(gop_ids),
+        granularity_gops=int(doc["granularity_gops"]),
+        chosen_res=chosen_res,
+        chosen_score=chosen_score,
+        per_rung_mean=chosen_score.mean(axis=0),
+        flips=np.asarray(doc["flips"], dtype=np.int64),
+    )
+
+
+def load_trace(path):
+    """Read a trace JSON written from ``trace_to_dict``."""
+    return _load_json(path, trace_from_dict)
 
 
 def write_trace_csv(path, trace) -> None:

@@ -22,7 +22,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate, stats
+from scipy import integrate
 
 from .errors import (
     DegenerateInput,
@@ -214,6 +214,8 @@ def correlations(subjective, objective) -> tuple[float, float]:
         raise DegenerateInput(f"correlations need >= 3 samples, got {s.size}")
     if np.ptp(s) == 0.0 or np.ptp(o) == 0.0:
         raise DegenerateInput("correlation input has zero variance")
+    from scipy import stats  # imported here: fit and crossover never need it
+
     srocc = float(stats.spearmanr(s, o).statistic)
     plcc = float(stats.pearsonr(s, o).statistic)
     return srocc, plcc

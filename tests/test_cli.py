@@ -298,6 +298,114 @@ class TestReplay:
         assert snapshot == after
 
 
+BAD = object()  # stands for the malformed file in an argv
+LOG_ARGS = ["--log", DATA / "synthetic_quality_log.csv"]
+MALFORMED_JSON = {
+    # case: (file name, file text, argv)
+    "ladder_syntax": (
+        "ladder.json",
+        '{"rungs": [{"bitrate_kbps": 1000,',
+        ["select-ladder", *LOG_ARGS, "--k", 10, "--candidates", BAD],
+    ),
+    "rung_without_bitrate": (
+        "ladder.json",
+        json.dumps({"rungs": [{"resolutions": [[960, 540]]}]}),
+        ["simulate", *LOG_ARGS, "--ladder", BAD],
+    ),
+    "solution_without_resolution": (
+        "sol.json",
+        json.dumps({"selected": [{"bitrate_kbps": 1000.0}]}),
+        ["simulate", *LOG_ARGS, "--ladder", BAD],
+    ),
+    "truncated_trace": (
+        "trace.json",
+        (DATA / "golden_trace.json").read_text()[:2000],
+        ["report", "--baseline-trace", DATA / "golden_trace.json", "--drs-trace", BAD],
+    ),
+    "weights_not_numbers": (
+        "weights.json",
+        json.dumps({"1000": "abc"}),
+        ["select-ladder", *LOG_ARGS, "--k", 10, "--weights", BAD],
+    ),
+    "replay_config_without_argv": ("x.run_config.json", json.dumps({"tool": "drskit"}), ["replay", BAD]),
+}
+
+
+class TestMalformedJson:
+    @pytest.mark.parametrize("case", sorted(MALFORMED_JSON))
+    def test_exits_2_naming_the_file(self, tmp_path, capsys, case):
+        filename, text, argv = MALFORMED_JSON[case]
+        path = tmp_path / filename
+        path.write_text(text)
+        argv = [path if a is BAD else a for a in argv]
+        if argv[0] != "replay":
+            argv += ["--out", tmp_path / "out"]
+        assert run_cli(*argv) == 2
+        err = capsys.readouterr().err
+        assert "error: InputError" in err
+        assert str(path) in err
+        assert "Traceback" not in err
+
+
+# Run in a fresh interpreter: prints the exit code of the given CLI call
+# and the scipy modules loaded by the import of drskit.cli and that call.
+IMPORT_PROBE = """
+import json, sys
+from drskit.cli import main
+code = main(sys.argv[1:]) if len(sys.argv) > 1 else 0
+print(json.dumps({"code": code, "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
+"""
+
+# Every public name the package exported when it imported all submodules.
+PACKAGE_EXPORTS = {
+    "BdResult", "CrossOverResult", "CvConfig", "DrsTrace", "FeatureSchema", "ForestModel", "GopRecord",
+    "Hyperparams", "LadderProblem", "LadderSolution", "LogisticParams", "PchipCurve", "QualityLog", "RDCurve",
+    "RDPoint", "RcqlReport", "ScoredPoint", "avc", "bd_rate", "best_resolution_probability", "build_report",
+    "correlations", "cross_validate", "cumulative_probability", "delta_bitrate", "drs", "errors",
+    "eval_logistic", "feature_importance", "filter_manifest", "find_crossover", "fit_logistic", "fit_pchip",
+    "forest", "gain_distribution", "greedy_feature_selection", "io", "ladder", "optimize_ladder_exhaustive",
+    "optimize_ladder_greedy", "predict", "protocol", "ranking_accuracy", "rcql", "rcql_avg", "rcql_s",
+    "rdmodel", "simulate", "train", "vqm", "weights_from_bandwidth",
+}
+
+
+class TestImportBudget:
+    def probe(self, *argv):
+        result = subprocess.run(
+            [sys.executable, "-c", IMPORT_PROBE, *map(str, argv)], capture_output=True, text=True, check=True
+        )
+        doc = json.loads(result.stdout.splitlines()[-1])
+        assert doc["code"] == 0
+        return doc["scipy"]
+
+    def test_cli_import_loads_no_scipy(self):
+        assert self.probe() == []
+
+    def test_select_ladder_loads_no_scipy(self, tmp_path):
+        log = DATA / "synthetic_quality_log.csv"
+        assert self.probe("select-ladder", "--log", log, "--k", 10, "--out", tmp_path / "sel") == []
+
+    def test_fit_loads_no_scipy_stats(self, tmp_path):
+        points_csv = tmp_path / "scores.csv"
+        write_scored_points(points_csv)
+        loaded = self.probe("fit", "--scored-points", points_csv, "--out", tmp_path / "fits")
+        assert "scipy.optimize" in loaded
+        assert "scipy.stats" not in loaded
+
+    def test_package_exports_unchanged(self):
+        import importlib
+
+        import drskit
+
+        assert set(drskit.__all__) == PACKAGE_EXPORTS
+        for name in drskit.__all__:
+            value = getattr(drskit, name)
+            if name not in drskit._SUBMODULES:
+                assert value is getattr(importlib.import_module(f"drskit.{drskit._EXPORTS[name]}"), name)
+        with pytest.raises(AttributeError):
+            drskit.no_such_name
+
+
 class TestSubprocessInterface:
     def test_exit_code_and_stderr_via_subprocess(self, tmp_path):
         result = subprocess.run(

@@ -1,10 +1,15 @@
 import json
 import math
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from drskit import io
+from drskit.drs import simulate
 from drskit.errors import CsvSchemaError, InputError
+
+DATA = Path(__file__).parent / "data"
 
 
 def write(path, text):
@@ -127,6 +132,64 @@ class TestLadderJson:
             )
         )
         assert io.load_ladder_or_solution(p) == {1000.0: [(960, 540), (1280, 720)]}
+
+
+class TestBadBitrates:
+    BAD = [float("nan"), float("inf"), -float("inf"), 0.0, -1000.0]
+
+    @pytest.mark.parametrize("bitrate", BAD)
+    def test_ladder_rung(self, tmp_path, bitrate):
+        p = tmp_path / "ladder.json"
+        p.write_text(json.dumps({"rungs": [{"bitrate_kbps": bitrate, "resolutions": [[960, 540]]}]}))
+        with pytest.raises(InputError, match="bitrate"):
+            io.load_ladder(p)
+
+    @pytest.mark.parametrize("bitrate", BAD)
+    def test_solution_entry(self, bitrate):
+        with pytest.raises(InputError, match="bitrate"):
+            io.solution_from_dict({"selected": [{"bitrate_kbps": bitrate, "resolution": [960, 540]}]})
+
+    @pytest.mark.parametrize("bitrate", ["0", "-1000"])
+    def test_quality_log_row(self, tmp_path, bitrate):
+        p = write(
+            tmp_path / "log.csv",
+            "content_id,gop_index,bitrate_kbps,width,height,vqm_score\n"
+            "c,0,1000,960,540,5.0\n"
+            f"c,0,{bitrate},960,540,4.0\n",
+        )
+        with pytest.raises(CsvSchemaError, match="row 3"):
+            io.load_quality_log(p)
+
+    @pytest.mark.parametrize("key", ["nan", "inf", "-inf", "0", "-1000"])
+    def test_weights_key(self, tmp_path, key):
+        p = tmp_path / "weights.json"
+        p.write_text(json.dumps({"1000": 0.5, key: 0.5}))
+        with pytest.raises(InputError, match="bitrate"):
+            io.load_weights(p)
+
+
+def fixture_trace(granularity_gops=1):
+    log = io.load_quality_log(DATA / "synthetic_quality_log.csv")
+    return simulate(log, io.load_ladder(DATA / "dynamic_ladder.json"), granularity_gops=granularity_gops)
+
+
+class TestTraceJson:
+    def test_round_trip(self):
+        trace = fixture_trace(granularity_gops=2)
+        back = io.trace_from_dict(json.loads(json.dumps(io.trace_to_dict(trace))))
+        assert back.rungs == trace.rungs
+        assert back.resolutions == trace.resolutions
+        assert back.gop_ids == trace.gop_ids
+        assert back.granularity_gops == trace.granularity_gops
+        for name in ("chosen_res", "chosen_score", "per_rung_mean", "flips"):
+            assert np.array_equal(getattr(back, name), getattr(trace, name))
+            assert getattr(back, name).dtype == getattr(trace, name).dtype
+
+    def test_selection_count_mismatch(self):
+        doc = io.trace_to_dict(fixture_trace())
+        doc["selections"].pop()
+        with pytest.raises(InputError, match="selections"):
+            io.trace_from_dict(doc)
 
 
 class TestBandwidthSamples:
