@@ -14,6 +14,7 @@ _SUBMODULES = ("avc", "drs", "errors", "forest", "io", "ladder", "protocol", "rc
 
 # public names, by defining submodule
 _NAMES_BY_SUBMODULE = {
+    "curves": ("PchipCurve", "RDCurve", "RDPoint", "ScoredPoint", "fit_pchip"),
     "drs": ("BdResult", "DrsTrace", "bd_rate", "filter_manifest", "gain_distribution", "simulate"),
     "ladder": (
         "LadderProblem",
@@ -28,7 +29,6 @@ _NAMES_BY_SUBMODULE = {
     "protocol": ("CvConfig", "cross_validate", "greedy_feature_selection"),
     "rcql": (
         "RcqlReport",
-        "ScoredPoint",
         "build_report",
         "correlations",
         "delta_bitrate",
@@ -36,17 +36,7 @@ _NAMES_BY_SUBMODULE = {
         "rcql_avg",
         "rcql_s",
     ),
-    "rdmodel": (
-        "CrossOverResult",
-        "LogisticParams",
-        "PchipCurve",
-        "RDCurve",
-        "RDPoint",
-        "eval_logistic",
-        "find_crossover",
-        "fit_logistic",
-        "fit_pchip",
-    ),
+    "rdmodel": ("CrossOverResult", "LogisticParams", "eval_logistic", "find_crossover", "fit_logistic"),
     "vqm": ("FeatureSchema", "ForestModel", "GopRecord", "Hyperparams", "feature_importance", "predict", "train"),
 }
 _EXPORTS = {name: module for module, names in _NAMES_BY_SUBMODULE.items() for name in names}

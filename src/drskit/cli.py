@@ -17,9 +17,10 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-# Only modules that import no scipy are imported here.  drs, rdmodel,
+# Only modules that every command needs are imported here.  rdmodel,
 # rcql and protocol load scipy (about a second of start-up), so each
-# command imports them in its body and pays for them only when it runs.
+# command imports them, and the other modules it alone uses, in its
+# body and pays for them only when it runs.
 from . import __version__, io
 from .avc.features import extract_gop_features
 from .errors import InputError, ToolkitError
@@ -41,7 +42,7 @@ from .vqm import (
 )
 
 if TYPE_CHECKING:
-    from .rdmodel import RDCurve
+    from .curves import RDCurve
 
 __all__ = ["main"]
 
@@ -106,7 +107,7 @@ def _add_hyperparam_args(p: argparse.ArgumentParser) -> None:
 
 def _mean_rd_curves(args) -> dict[str, dict[tuple[int, int], RDCurve]]:
     """Per (content, resolution) RD curves from either input kind."""
-    from .rdmodel import RDCurve
+    from .curves import RDCurve
 
     curves: dict[str, dict[tuple[int, int], RDCurve]] = defaultdict(dict)
     if args.quality_log:
@@ -304,13 +305,12 @@ def cmd_select_ladder(args, argv) -> int:
 
 
 def _write_trace_outputs(out: Path, name: str, trace) -> None:
-    io.write_json(out / f"{name}.json", io.trace_to_dict(trace))
+    io.write_trace_json(out / f"{name}.json", trace)
     io.write_trace_csv(out / f"{name}.csv", trace)
 
 
 def cmd_simulate(args, argv) -> int:
     from .drs import simulate, trace_rd_points
-    from .rdmodel import fit_logistic
 
     log = io.load_quality_log(args.log, args.units)
     ladder = io.load_ladder_or_solution(args.ladder, args.units)
@@ -326,6 +326,10 @@ def cmd_simulate(args, argv) -> int:
     # Per-rung mean points feed the BD computation directly (PCHIP); a
     # logistic fit of the same points is emitted alongside for plotting.
     if len(drs_curve.points) >= 4:
+        # Imported only now: scipy's import then reuses the memory that
+        # reading the log freed, which keeps the command's peak RSS lower.
+        from .rdmodel import fit_logistic
+
         fitted = fit_logistic(drs_curve)
         io.write_json(
             out / "rd_fit.json",

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .curves import RDCurve, pchip_from_arrays
 from .errors import (
     IncompleteLog,
     MismatchedTraces,
@@ -24,7 +25,6 @@ from .errors import (
     TooFewPoints,
 )
 from .ladder import LadderSolution, QualityLog, Resolution, _res_key
-from .rdmodel import RDCurve, pchip_from_arrays
 
 __all__ = [
     "DrsTrace",
@@ -92,21 +92,24 @@ def simulate(log: QualityLog, ladder, granularity_gops: int = 1) -> DrsTrace:
     chosen_score = np.zeros((n, n_rungs))
     flips = np.zeros(n_rungs, dtype=np.int64)
 
+    g = granularity_gops
+    full = n - n % g  # GOPs in whole windows
+    rows = np.arange(n)
     for j, b in enumerate(log.rungs):
-        res_indices = [log.res_index(r) for r in rung_map[b]]
+        res_indices = np.array([log.res_index(r) for r in rung_map[b]])
         cols = log.scores[:, j, res_indices]  # (n, m) in ascending-resolution order
         if np.isnan(cols).any():
             raise IncompleteLog(f"log is missing scores for rung {b}")
-        prev = None
-        for w0 in range(0, n, granularity_gops):
-            w1 = min(w0 + granularity_gops, n)
-            # argmax returns the first maximum: ties pick the lower resolution.
-            k = int(np.argmax(cols[w0:w1].sum(axis=0)))
-            chosen_res[w0:w1, j] = res_indices[k]
-            chosen_score[w0:w1, j] = cols[w0:w1, k]
-            if prev is not None and k != prev:
-                flips[j] += 1
-            prev = k
+        # Window sums, each added up exactly as cols[w0:w1].sum(axis=0) would.
+        sums = cols[:full].reshape(full // g, g, len(res_indices)).sum(axis=1)
+        if full < n:
+            sums = np.vstack([sums, cols[full:].sum(axis=0)])
+        # argmax returns the first maximum: ties pick the lower resolution.
+        picks = np.argmax(sums, axis=1)
+        k = np.repeat(picks, g)[:n]
+        chosen_res[:, j] = res_indices[k]
+        chosen_score[:, j] = cols[rows, k]
+        flips[j] = np.count_nonzero(np.diff(picks))
 
     per_rung_mean = chosen_score.mean(axis=0)
     for arr in (chosen_res, chosen_score, per_rung_mean, flips):

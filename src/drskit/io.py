@@ -24,17 +24,19 @@ import csv
 import functools
 import json
 import math
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import CsvSchemaError, InputError
+from .errors import CsvSchemaError, InputError, InvariantError
 from .ladder import LadderSolution, ProbabilityTable, QualityLog
 from .vqm import FeatureSchema, GopRecord
 
-if TYPE_CHECKING:  # rcql imports scipy; load_scored_points imports it when called
-    from .rcql import RcqlReport, ScoredPoint
+if TYPE_CHECKING:
+    from .curves import ScoredPoint
+    from .rcql import RcqlReport  # rcql imports scipy
 
 __all__ = [
     "QUALITY_LOG_COLUMNS",
@@ -65,6 +67,7 @@ __all__ = [
     "write_probability_csv",
     "write_rcql_csv",
     "trace_to_dict",
+    "write_trace_json",
     "trace_from_dict",
     "load_trace",
     "write_trace_csv",
@@ -128,10 +131,13 @@ def _int(text: str, column: str, row: int) -> int:
         raise CsvSchemaError(f"column {column!r}: {text!r} is not an integer", row) from None
 
 
-def _read_rows(path, required: tuple[str, ...], exact: bool = True):
+def _read_table(path, required: tuple[str, ...], exact: bool = True) -> tuple[list[str], list[list[str]]]:
+    """Header and data rows of a CSV file.  Blank lines are skipped, so
+    data row ``k`` (from 0) is reported as row ``k + 2``; a row longer
+    than the header keeps its extra cells, which no reader looks at."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames
+        reader = csv.reader(fh)
+        header = next(reader, None)
         if header is None:
             raise CsvSchemaError("file is empty (no header row)", 1)
         missing = [c for c in required if c not in header]
@@ -141,31 +147,52 @@ def _read_rows(path, required: tuple[str, ...], exact: bool = True):
             extra = [c for c in header if c not in required]
             if extra:
                 raise CsvSchemaError(f"unexpected columns {extra}", 1)
-        rows = []
-        for i, row in enumerate(reader, start=2):
-            if any(v is None for v in row.values()):
-                raise CsvSchemaError("short row", i)
-            rows.append((i, row))
-        if not rows:
-            raise CsvSchemaError("file has a header but no data rows", 2)
-        return header, rows
+        rows = list(filter(None, reader))
+    if not rows:
+        raise CsvSchemaError("file has a header but no data rows", 2)
+    width = len(header)
+    if min(map(len, rows)) < width:
+        short = next(i for i, row in enumerate(rows, start=2) if len(row) < width)
+        raise CsvSchemaError("short row", short)
+    return header, rows
+
+
+def _read_rows(path, required: tuple[str, ...], exact: bool = True):
+    """Header plus (row number, {column: cell}) pairs of a CSV file."""
+    header, rows = _read_table(path, required, exact)
+    return header, [(i, dict(zip(header, row))) for i, row in enumerate(rows, start=2)]
 
 
 def load_quality_log(path, units: str = "kbps") -> QualityLog:
     scale = unit_scale(units)
-    _, rows = _read_rows(path, QUALITY_LOG_COLUMNS)
-    records = []
-    for i, row in rows:
-        records.append(
-            (
-                row["content_id"],
-                _int(row["gop_index"], "gop_index", i),
-                _bitrate_cell(row["bitrate_kbps"], scale, i),
-                (_int(row["width"], "width", i), _int(row["height"], "height", i)),
-                _float(row["vqm_score"], "vqm_score", i),
-            )
-        )
-    return QualityLog.from_records(records)
+    header, rows = _read_table(path, QUALITY_LOG_COLUMNS)
+    at = {name: k for k, name in enumerate(header)}  # a repeated name reads its last column
+    columns = list(zip(*rows))
+    del rows
+    content, gop, bitrate, width, height, score = (columns[at[c]] for c in QUALITY_LOG_COLUMNS)
+    del columns
+    # Convert whole columns; if any cell fails, redo the rows one by one
+    # to raise the first bad row's error.
+    try:
+        gops = list(map(int, gop))
+        widths = list(map(int, width))
+        heights = list(map(int, height))
+        raw_bitrates = np.fromiter(map(float, bitrate), float, len(bitrate))
+        scores = np.fromiter(map(float, score), float, len(score))
+    except ValueError:
+        valid = False
+    else:
+        bitrates = scale * raw_bitrates
+        valid = bool(np.isfinite(raw_bitrates).all() and (bitrates > 0).all() and np.isfinite(scores).all())
+    if not valid:
+        for i, (g, b, w, h, v) in enumerate(zip(gop, bitrate, width, height, score), start=2):
+            _int(g, "gop_index", i)
+            _bitrate_cell(b, scale, i)
+            _int(w, "width", i)
+            _int(h, "height", i)
+            _float(v, "vqm_score", i)
+        raise InvariantError("a quality-log column failed to convert but none of its rows did")
+    return QualityLog.from_columns(content, gops, bitrates, widths, heights, scores)
 
 
 def write_quality_log(path, records) -> None:
@@ -178,7 +205,7 @@ def write_quality_log(path, records) -> None:
 
 
 def load_scored_points(path, units: str = "kbps") -> list[ScoredPoint]:
-    from .rcql import ScoredPoint
+    from .curves import ScoredPoint  # only the commands that read scored points need it
 
     scale = unit_scale(units)
     _, rows = _read_rows(path, SCORED_POINT_COLUMNS)
@@ -493,7 +520,8 @@ def write_rcql_csv(rows_path, pairs_path, report: RcqlReport) -> None:
                 writer.writerow([pair, metric, repr(report.pair_summary[pair][metric])])
 
 
-def trace_to_dict(trace) -> dict:
+def _trace_header(trace) -> dict:
+    """``trace_to_dict`` without the selections."""
     return {
         "granularity_gops": trace.granularity_gops,
         "rungs": [float(b) for b in trace.rungs],
@@ -501,6 +529,12 @@ def trace_to_dict(trace) -> dict:
         "n_gops": len(trace.gop_ids),
         "per_rung_mean_quality": [float(v) for v in trace.per_rung_mean],
         "flips": [int(v) for v in trace.flips],
+    }
+
+
+def trace_to_dict(trace) -> dict:
+    return {
+        **_trace_header(trace),
         "selections": [
             {
                 "content_id": trace.gop_ids[i][0],
@@ -513,6 +547,45 @@ def trace_to_dict(trace) -> dict:
             for j in range(len(trace.rungs))
         ],
     }
+
+
+def _json_float(v: float) -> str:
+    """``v`` as ``json.dump`` writes it."""
+    if math.isfinite(v):
+        return float.__repr__(v)
+    return "NaN" if v != v else ("Infinity" if v > 0 else "-Infinity")
+
+
+def write_trace_json(path, trace) -> None:
+    """Write the bytes ``write_json(path, trace_to_dict(trace))`` writes,
+    formatting the selections directly and one GOP at a time, without
+    building the document."""
+    head = json.dumps(_trace_header(trace), sort_keys=True, indent=2)
+    # Selection text up to the content id, per rung, and from the
+    # resolution to the score, per resolution.
+    rung_text = [f'    {{\n      "bitrate_kbps": {_json_float(float(b))},\n      "content_id": ' for b in trace.rungs]
+    res_text = [
+        f',\n      "resolution": [\n        {int(w)},\n        {int(h)}\n      ],\n      "score": '
+        for w, h in trace.resolutions
+    ]
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", encoding="utf-8") as fh:
+        # Every header key sorts before "selections", which comes last.
+        fh.write(head[: -len("\n}")] + ',\n  "selections": [')
+        sep = "\n"
+        for (content, gop), res_row, score_row in zip(
+            trace.gop_ids, trace.chosen_res.tolist(), trace.chosen_score.tolist()
+        ):
+            ident = f'{encode_basestring_ascii(content)},\n      "gop_index": {gop}'
+            fh.write(
+                sep
+                + ",\n".join(
+                    rung + ident + res_text[k] + _json_float(score) + "\n    }"
+                    for rung, k, score in zip(rung_text, res_row, score_row)
+                )
+            )
+            sep = ",\n"
+        fh.write("]\n}\n" if sep == "\n" else "\n  ]\n}\n")
 
 
 @_json_fields
@@ -553,13 +626,17 @@ def load_trace(path):
 
 
 def write_trace_csv(path, trace) -> None:
+    rung_text = [repr(float(b)) for b in trace.rungs]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["content_id", "gop_index", "bitrate_kbps", "width", "height", "score"])
-        for i, (content, gop) in enumerate(trace.gop_ids):
-            for j, b in enumerate(trace.rungs):
-                res = trace.resolutions[int(trace.chosen_res[i, j])]
-                writer.writerow([content, gop, repr(float(b)), res[0], res[1], repr(float(trace.chosen_score[i, j]))])
+        for (content, gop), res_row, score_row in zip(
+            trace.gop_ids, trace.chosen_res.tolist(), trace.chosen_score.tolist()
+        ):
+            writer.writerows(
+                [content, gop, rung, *trace.resolutions[k], repr(score)]
+                for rung, k, score in zip(rung_text, res_row, score_row)
+            )
 
 
 def write_histogram_csv(path, bin_left, bin_right, counts) -> None:

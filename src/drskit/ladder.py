@@ -69,22 +69,39 @@ class QualityLog:
         records = list(records)
         if not records:
             raise EmptyInput("quality log has no records")
-        rungs = tuple(sorted({float(r[2]) for r in records}))
-        resolutions = tuple(sorted({(int(r[3][0]), int(r[3][1])) for r in records}, key=_res_key))
-        gop_ids = tuple(sorted({(str(r[0]), int(r[1])) for r in records}))
-        rung_idx = {b: i for i, b in enumerate(rungs)}
-        res_idx = {r: i for i, r in enumerate(resolutions)}
-        gop_idx = {g: i for i, g in enumerate(gop_ids)}
-        scores = np.full((len(gop_ids), len(rungs), len(resolutions)), np.nan)
-        for content, gop, bitrate, res, score in records:
-            i = gop_idx[(str(content), int(gop))]
-            j = rung_idx[float(bitrate)]
-            k = res_idx[(int(res[0]), int(res[1]))]
-            if not np.isnan(scores[i, j, k]):
-                raise InputError(f"duplicate quality record for {(content, gop, bitrate, res)}")
-            scores[i, j, k] = float(score)
-        scores.flags.writeable = False
-        return cls(rungs, resolutions, gop_ids, scores)
+        content, gop, bitrate, res, score = zip(*records)
+        return cls.from_columns(content, gop, bitrate, [r[0] for r in res], [r[1] for r in res], score)
+
+    @classmethod
+    def from_columns(cls, content_ids, gop_indices, bitrates, widths, heights, scores) -> "QualityLog":
+        """Build from one sequence per field, record ``i`` being entry
+        ``i`` of each.  A (GOP, rung, resolution) given twice is an
+        InputError naming the first record that repeats an earlier one."""
+        n = len(scores)
+        if n == 0:
+            raise EmptyInput("quality log has no records")
+        gop_keys = list(zip(map(str, content_ids), map(int, gop_indices)))
+        gop_ids = tuple(sorted(set(gop_keys)))
+        gop_at = {g: i for i, g in enumerate(gop_ids)}
+        res_keys = list(zip(map(int, widths), map(int, heights)))
+        resolutions = tuple(sorted(set(res_keys), key=_res_key))
+        res_at = {r: k for k, r in enumerate(resolutions)}
+        bitrates = np.asarray(bitrates, dtype=float)
+        rung_values, rung_of = np.unique(bitrates, return_inverse=True)
+        gop_of = np.fromiter(map(gop_at.__getitem__, gop_keys), np.intp, n)
+        res_of = np.fromiter(map(res_at.__getitem__, res_keys), np.intp, n)
+        flat = (gop_of * len(rung_values) + rung_of) * len(resolutions) + res_of
+        order = np.argsort(flat, kind="stable")
+        repeats = order[1:][flat[order[1:]] == flat[order[:-1]]]
+        if repeats.size:
+            i = int(repeats.min())
+            record = (content_ids[i], gop_keys[i][1], float(bitrates[i]), res_keys[i])
+            raise InputError(f"duplicate quality record for {record}")
+        cube = np.full(len(gop_ids) * len(rung_values) * len(resolutions), np.nan)
+        cube[flat] = np.asarray(scores, dtype=float)
+        cube = cube.reshape(len(gop_ids), len(rung_values), len(resolutions))
+        cube.flags.writeable = False
+        return cls(tuple(rung_values.tolist()), resolutions, gop_ids, cube)
 
     @property
     def n_gops(self) -> int:

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import integrate
 
+from .curves import ScoredPoint
 from .errors import (
     DegenerateInput,
     MismatchedPair,
@@ -52,18 +53,6 @@ __all__ = [
 ]
 
 DEFAULT_TIE_EPS = 1e-9
-
-
-@dataclass(frozen=True)
-class ScoredPoint:
-    """One (content, resolution, bitrate) record with both a subjective
-    label and an objective metric score."""
-
-    content_id: str
-    resolution: tuple[int, int]
-    bitrate_kbps: float
-    subjective_jod: float
-    objective_score: float
 
 
 def delta_bitrate(subjective_xover: CrossOverResult, objective_xover: CrossOverResult) -> float:

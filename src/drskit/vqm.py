@@ -257,5 +257,8 @@ def save_model(model: ForestModel, path) -> None:
 
 
 def load_model(path) -> ForestModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        return model_from_dict(json.load(fh))
+    """Read a model JSON; a syntax error or a missing or mistyped field
+    is an InputError that names the file."""
+    from .io import _json_fields, _load_json  # io imports this module
+
+    return _load_json(path, _json_fields(model_from_dict))

@@ -392,6 +392,17 @@ class TestImportBudget:
         assert "scipy.optimize" in loaded
         assert "scipy.stats" not in loaded
 
+    def test_fit_loads_no_scipy_integrate(self, tmp_path):
+        points_csv = tmp_path / "scores.csv"
+        write_scored_points(points_csv)
+        loaded = self.probe("fit", "--scored-points", points_csv, "--out", tmp_path / "fits")
+        assert "scipy.optimize" in loaded
+        assert "scipy.integrate" not in loaded
+
+    def test_report_loads_no_scipy(self, tmp_path):
+        golden = DATA / "golden_trace.json"
+        assert self.probe("report", "--baseline-trace", golden, "--drs-trace", golden, "--out", tmp_path / "rep") == []
+
     def test_package_exports_unchanged(self):
         import importlib
 

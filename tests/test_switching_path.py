@@ -1,0 +1,460 @@
+"""Differential tests of the array-native switching path.
+
+The columnar quality-log reader, the vectorised ``simulate`` and the
+direct trace writers are checked against the per-record code they
+replaced, which is kept here as the oracle: the same logs, the same
+error texts, the same traces and the same bytes.
+"""
+
+import csv
+import json
+import random
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from drskit import io
+from drskit.drs import DrsTrace, _ladder_map, simulate
+from drskit.errors import CsvSchemaError, EmptyInput, IncompleteLog, InputError
+from drskit.ladder import QualityLog, _res_key
+
+HEADER = ",".join(io.QUALITY_LOG_COLUMNS)
+
+
+# --- oracles: the per-record code the switching path replaced -------------
+
+
+def oracle_from_records(records) -> QualityLog:
+    """QualityLog built one record at a time."""
+    records = list(records)
+    if not records:
+        raise EmptyInput("quality log has no records")
+    rungs = tuple(sorted({float(r[2]) for r in records}))
+    resolutions = tuple(sorted({(int(r[3][0]), int(r[3][1])) for r in records}, key=_res_key))
+    gop_ids = tuple(sorted({(str(r[0]), int(r[1])) for r in records}))
+    rung_idx = {b: i for i, b in enumerate(rungs)}
+    res_idx = {r: i for i, r in enumerate(resolutions)}
+    gop_idx = {g: i for i, g in enumerate(gop_ids)}
+    scores = np.full((len(gop_ids), len(rungs), len(resolutions)), np.nan)
+    for content, gop, bitrate, res, score in records:
+        i = gop_idx[(str(content), int(gop))]
+        j = rung_idx[float(bitrate)]
+        k = res_idx[(int(res[0]), int(res[1]))]
+        if not np.isnan(scores[i, j, k]):
+            raise InputError(f"duplicate quality record for {(content, gop, bitrate, res)}")
+        scores[i, j, k] = float(score)
+    return QualityLog(rungs, resolutions, gop_ids, scores)
+
+
+def oracle_load_quality_log(path, units: str = "kbps") -> QualityLog:
+    """Quality-log CSV read row by row through csv.DictReader."""
+    scale = io.unit_scale(units)
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.DictReader(fh)
+        header = reader.fieldnames
+        if header is None:
+            raise CsvSchemaError("file is empty (no header row)", 1)
+        missing = [c for c in io.QUALITY_LOG_COLUMNS if c not in header]
+        if missing:
+            raise CsvSchemaError(f"missing mandatory columns {missing}", 1)
+        extra = [c for c in header if c not in io.QUALITY_LOG_COLUMNS]
+        if extra:
+            raise CsvSchemaError(f"unexpected columns {extra}", 1)
+        rows = []
+        for i, row in enumerate(reader, start=2):
+            if any(v is None for v in row.values()):
+                raise CsvSchemaError("short row", i)
+            rows.append((i, row))
+        if not rows:
+            raise CsvSchemaError("file has a header but no data rows", 2)
+    records = [
+        (
+            row["content_id"],
+            io._int(row["gop_index"], "gop_index", i),
+            io._bitrate_cell(row["bitrate_kbps"], scale, i),
+            (io._int(row["width"], "width", i), io._int(row["height"], "height", i)),
+            io._float(row["vqm_score"], "vqm_score", i),
+        )
+        for i, row in rows
+    ]
+    return oracle_from_records(records)
+
+
+def oracle_simulate(log: QualityLog, ladder, granularity_gops: int) -> DrsTrace:
+    """Switching decisions taken one window at a time."""
+    rung_map = _ladder_map(ladder, log)
+    n = log.n_gops
+    chosen_res = np.zeros((n, len(log.rungs)), dtype=np.int64)
+    chosen_score = np.zeros((n, len(log.rungs)))
+    flips = np.zeros(len(log.rungs), dtype=np.int64)
+    for j, b in enumerate(log.rungs):
+        res_indices = [log.res_index(r) for r in rung_map[b]]
+        cols = log.scores[:, j, res_indices]
+        if np.isnan(cols).any():
+            raise IncompleteLog(f"log is missing scores for rung {b}")
+        prev = None
+        for w0 in range(0, n, granularity_gops):
+            w1 = min(w0 + granularity_gops, n)
+            k = int(np.argmax(cols[w0:w1].sum(axis=0)))
+            chosen_res[w0:w1, j] = res_indices[k]
+            chosen_score[w0:w1, j] = cols[w0:w1, k]
+            if prev is not None and k != prev:
+                flips[j] += 1
+            prev = k
+    return DrsTrace(
+        rungs=log.rungs,
+        resolutions=log.resolutions,
+        gop_ids=log.gop_ids,
+        granularity_gops=granularity_gops,
+        chosen_res=chosen_res,
+        chosen_score=chosen_score,
+        per_rung_mean=chosen_score.mean(axis=0),
+        flips=flips,
+    )
+
+
+def oracle_trace_json(trace) -> str:
+    """What ``io.write_json`` writes for ``trace_to_dict(trace)``."""
+    return json.dumps(io.trace_to_dict(trace), sort_keys=True, indent=2) + "\n"
+
+
+def oracle_write_trace_csv(path, trace) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["content_id", "gop_index", "bitrate_kbps", "width", "height", "score"])
+        for i, (content, gop) in enumerate(trace.gop_ids):
+            for j, b in enumerate(trace.rungs):
+                res = trace.resolutions[int(trace.chosen_res[i, j])]
+                writer.writerow([content, gop, repr(float(b)), res[0], res[1], repr(float(trace.chosen_score[i, j]))])
+
+
+# --- helpers ---------------------------------------------------------------
+
+
+def assert_same_log(got: QualityLog, want: QualityLog) -> None:
+    assert got.rungs == want.rungs
+    assert all(type(b) is float for b in got.rungs)
+    assert got.resolutions == want.resolutions
+    assert got.gop_ids == want.gop_ids
+    assert all(type(c) is str and type(g) is int for c, g in got.gop_ids)
+    assert got.scores.dtype == want.scores.dtype
+    assert np.array_equal(got.scores, want.scores, equal_nan=True)
+    assert not got.scores.flags.writeable
+
+
+def assert_same_trace(got: DrsTrace, want: DrsTrace) -> None:
+    for name in ("chosen_res", "chosen_score", "per_rung_mean", "flips"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype, name
+        assert np.array_equal(a, b), name
+
+
+def write_csv(path: Path, rows, blank_lines=()) -> Path:
+    """Quality-log CSV of ``rows`` (lists of cells), with a blank line
+    before each data row index in ``blank_lines``."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(io.QUALITY_LOG_COLUMNS)
+        for k, row in enumerate(rows):
+            if k in blank_lines:
+                fh.write("\r\n")
+            writer.writerow(row)
+    return path
+
+
+def same_error(path: Path, units: str = "kbps") -> Exception:
+    """Load ``path`` with both readers; both must fail alike."""
+    with pytest.raises(InputError) as new:
+        io.load_quality_log(path, units)
+    with pytest.raises(InputError) as old:
+        oracle_load_quality_log(path, units)
+    assert type(new.value) is type(old.value)
+    assert str(new.value) == str(old.value)
+    return new.value
+
+
+CONTENT_IDS = st.text(
+    alphabet=st.sampled_from(list("abcXYZ019 ,\"'\t\r\n\x00") + ["é", "ü", "中", "—", "🎬"]),
+    max_size=6,
+)
+
+
+@st.composite
+def quality_logs(draw):
+    """Shuffled quality-log rows (cell text) of a random, possibly
+    sparse log, plus the units to read them in."""
+    contents = draw(st.lists(CONTENT_IDS, min_size=1, max_size=3, unique=True))
+    gops = draw(st.lists(st.integers(-(2**70), 2**70), min_size=1, max_size=4, unique=True))
+    rungs = draw(st.lists(st.floats(1e-3, 1e6, allow_nan=False), min_size=1, max_size=4, unique=True))
+    resolutions = draw(
+        st.lists(st.tuples(st.integers(-4, 4000), st.integers(-4, 4000)), min_size=1, max_size=3, unique=True)
+    )
+    cells = [(c, g, b, r) for c in contents for g in gops for b in rungs for r in resolutions]
+    keep = draw(st.lists(st.booleans(), min_size=len(cells), max_size=len(cells)))
+    kept = [cell for cell, k in zip(cells, keep) if k] or cells[:1]
+    rows = []
+    for c, g, b, (w, h) in kept:
+        score = draw(st.one_of(st.floats(-1e6, 1e6, allow_nan=False), st.integers(-10, 10)))
+        rows.append([c, str(g), repr(b), str(w), str(h), repr(score)])
+    random.Random(draw(st.integers(0, 2**32))).shuffle(rows)
+    return rows, draw(st.sampled_from(["kbps", "mbps"]))
+
+
+# --- quality-log ingest ----------------------------------------------------
+
+
+class TestIngest:
+    @given(quality_logs())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_per_record_reader(self, tmp_path_factory, drawn):
+        rows, units = drawn
+        path = write_csv(tmp_path_factory.mktemp("log") / "log.csv", rows)
+        assert_same_log(io.load_quality_log(path, units), oracle_load_quality_log(path, units))
+
+    @given(quality_logs())
+    @settings(max_examples=50, deadline=None)
+    def test_from_records_matches_per_record_build(self, drawn):
+        rows, _units = drawn
+        records = [(c, int(g), float(b), (int(w), int(h)), float(s)) for c, g, b, w, h, s in rows]
+        assert_same_log(QualityLog.from_records(records), oracle_from_records(records))
+
+    def test_fixture(self):
+        path = Path(__file__).parent / "data" / "synthetic_quality_log.csv"
+        assert_same_log(io.load_quality_log(path), oracle_load_quality_log(path))
+
+    def test_blank_lines_and_long_rows(self, tmp_path):
+        rows = [["c", "0", "1000", "960", "540", "5.0", "extra"], ["c", "0", "2000", "960", "540", "6.0"]]
+        path = write_csv(tmp_path / "log.csv", rows, blank_lines=(0, 1))
+        assert_same_log(io.load_quality_log(path), oracle_load_quality_log(path))
+
+    GOOD = ["c", "0", "1000", "960", "540", "5.0"]
+
+    @pytest.mark.parametrize(
+        "column, cell, text",
+        [
+            (1, "x1", "column 'gop_index': 'x1' is not an integer"),
+            (1, "1.5", "column 'gop_index': '1.5' is not an integer"),
+            (3, "", "column 'width': '' is not an integer"),
+            (4, "540p", "column 'height': '540p' is not an integer"),
+            (5, "oops", "column 'vqm_score': 'oops' is not a number"),
+            (2, "fast", "column 'bitrate_kbps': 'fast' is not a number"),
+            (5, "nan", "column 'vqm_score': 'nan' is not finite"),
+            (5, "-inf", "column 'vqm_score': '-inf' is not finite"),
+            (2, "inf", "column 'bitrate_kbps': 'inf' is not finite"),
+            (2, "0", "bitrate_kbps must be > 0, got 0.0"),
+            (2, "-5", "bitrate_kbps must be > 0, got -5.0"),
+        ],
+    )
+    def test_bad_cell_error_parity(self, tmp_path, column, cell, text):
+        bad = list(self.GOOD)
+        bad[column] = cell
+        rows = [self.GOOD, ["c", "1", "1000", "960", "540", "4.0"], bad, ["c", "2", "zz", "960", "540", "4.0"]]
+        # The blank line shifts no row number: rows count non-blank lines.
+        err = same_error(write_csv(tmp_path / "log.csv", rows, blank_lines=(1,)))
+        assert str(err) == f"row 4: {text}"
+
+    def test_first_bad_row_wins_across_columns(self, tmp_path):
+        rows = [self.GOOD, ["c", "1", "1000", "960", "540", "bad"], ["c", "bad", "1000", "960", "540", "4.0"]]
+        err = same_error(write_csv(tmp_path / "log.csv", rows))
+        assert str(err) == "row 3: column 'vqm_score': 'bad' is not a number"
+
+    def test_bitrate_error_after_mbps_scale(self, tmp_path):
+        rows = [self.GOOD, ["c", "1", "-0.0", "960", "540", "4.0"]]
+        err = same_error(write_csv(tmp_path / "log.csv", rows), "mbps")
+        assert str(err) == "row 3: bitrate_kbps must be > 0, got -0.0"
+
+    def test_short_row_parity(self, tmp_path):
+        path = tmp_path / "log.csv"
+        path.write_text(f"{HEADER}\nc,0,1000,960,540,oops\n\nc,1,1000,960,540\n", encoding="utf-8")
+        err = same_error(path)
+        assert str(err) == "row 3: short row"
+
+    def test_duplicate_record_parity(self, tmp_path):
+        rows = [
+            self.GOOD,
+            ["c", "1", "1000", "960", "540", "4.0"],
+            ["d", "0", "1000", "960", "540", "4.0"],
+            ["c", "1", "1000.0", "960", "540", "3.0"],
+            ["c", "00", "1e3", "960", "540", "2.0"],
+        ]
+        err = same_error(write_csv(tmp_path / "log.csv", rows), "kbps")
+        assert str(err) == "duplicate quality record for ('c', 1, 1000.0, (960, 540))"
+
+    def test_duplicate_record_parity_mbps(self, tmp_path):
+        rows = [["é,\"", "3", "1.5", "960", "540", "5.0"], ["é,\"", "3", "1.50", "960", "540", "6.0"]]
+        err = same_error(write_csv(tmp_path / "log.csv", rows), "mbps")
+        assert str(err) == "duplicate quality record for ('é,\"', 3, 1500.0, (960, 540))"
+
+    @pytest.mark.parametrize(
+        "text",
+        ["", "content_id,gop_index\n", f"{HEADER},x\nc,0,1000,960,540,5.0,1\n", f"{HEADER}\n", f"{HEADER}\n\n"],
+    )
+    def test_header_error_parity(self, tmp_path, text):
+        path = tmp_path / "log.csv"
+        path.write_text(text, encoding="utf-8")
+        same_error(path)
+
+
+# --- simulate --------------------------------------------------------------
+
+
+@st.composite
+def switching_cases(draw):
+    """A complete log, a ladder over it and a window length; integer
+    scores make exact ties common, float scores test summation order."""
+    n = draw(st.integers(1, 40))
+    n_rungs = draw(st.integers(1, 3))
+    n_res = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        scores = np.array(draw(st.lists(st.integers(0, 2), min_size=n * n_rungs * n_res, max_size=n * n_rungs * n_res)))
+    else:
+        scores = np.array(
+            draw(
+                st.lists(
+                    st.floats(-1e3, 1e3, allow_nan=False),
+                    min_size=n * n_rungs * n_res,
+                    max_size=n * n_rungs * n_res,
+                )
+            )
+        )
+    scores = scores.astype(float).reshape(n, n_rungs, n_res)
+    scores.flags.writeable = False
+    resolutions = tuple((160 * (k + 1), 90 * (k + 1)) for k in range(n_res))
+    rungs = tuple(1000.0 * (j + 1) for j in range(n_rungs))
+    log = QualityLog(rungs, resolutions, tuple(("c", i) for i in range(n)), scores)
+    ladder = {
+        b: draw(st.lists(st.sampled_from(resolutions), min_size=1, max_size=n_res, unique=True)) for b in rungs
+    }
+    return log, ladder, draw(st.integers(1, n + 3))
+
+
+class TestSimulate:
+    @given(switching_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_per_window_loop(self, case):
+        log, ladder, granularity = case
+        assert_same_trace(simulate(log, ladder, granularity), oracle_simulate(log, ladder, granularity))
+
+    @pytest.mark.parametrize("granularity", [1, 5, 24, 25])
+    def test_fixture(self, granularity):
+        log = io.load_quality_log(Path(__file__).parent / "data" / "synthetic_quality_log.csv")
+        ladder = io.load_ladder(Path(__file__).parent / "data" / "dynamic_ladder.json")
+        assert_same_trace(simulate(log, ladder, granularity), oracle_simulate(log, ladder, granularity))
+
+    @pytest.mark.parametrize("granularity", [2, 7, 8, 9, 16, 130, 333, 1000, 1001])
+    def test_long_float_windows(self, granularity):
+        # Scores over eleven decades, so the window sums depend on the
+        # order numpy adds them up in.
+        rng = np.random.default_rng(granularity)
+        scores = rng.normal(size=(1000, 2, 4)) * 10.0 ** rng.uniform(-3, 8, size=(1000, 2, 4))
+        log = QualityLog((1.0, 2.0), ((2, 2), (3, 3), (4, 4), (5, 5)), tuple(("c", i) for i in range(1000)), scores)
+        ladder = {1.0: [(2, 2), (3, 3), (4, 4), (5, 5)], 2.0: [(3, 3), (5, 5)]}
+        assert_same_trace(simulate(log, ladder, granularity), oracle_simulate(log, ladder, granularity))
+
+    @pytest.mark.parametrize("granularity", [3, 8, 9, 17, 40, 129])
+    def test_near_tie_windows(self, granularity):
+        # Every column holds the same values in a different order within
+        # each window, so the window sums differ only by rounding and the
+        # choice depends on the order they are added up in.
+        rng = np.random.default_rng(granularity)
+        n = 40 * granularity + granularity // 2
+        base = rng.normal(size=n) * 10.0 ** rng.uniform(-2, 6, size=n)
+        cols = [base.copy() for _ in range(4)]
+        for w0 in range(0, n, granularity):
+            for col in cols[1:]:
+                col[w0 : w0 + granularity] = rng.permutation(base[w0 : w0 + granularity])
+        scores = np.stack(cols, axis=1)[:, None, :]
+        log = QualityLog((1.0,), ((2, 2), (3, 3), (4, 4), (5, 5)), tuple(("c", i) for i in range(n)), scores)
+        ladder = {1.0: list(log.resolutions)}
+        assert_same_trace(simulate(log, ladder, granularity), oracle_simulate(log, ladder, granularity))
+
+    def test_tie_heavy_partial_window(self):
+        rng = np.random.default_rng(5)
+        scores = rng.integers(0, 2, size=(23, 4, 3)).astype(float)
+        log = QualityLog((1.0, 2.0, 3.0, 4.0), ((2, 2), (3, 3), (4, 4)), tuple(("c", i) for i in range(23)), scores)
+        ladder = {b: [(2, 2), (3, 3), (4, 4)] for b in log.rungs}
+        for granularity in (1, 3, 5, 22, 23, 24):
+            assert_same_trace(simulate(log, ladder, granularity), oracle_simulate(log, ladder, granularity))
+
+
+# --- trace writers ---------------------------------------------------------
+
+
+def unicode_trace(granularity: int) -> DrsTrace:
+    rng = np.random.default_rng(granularity)
+    records = [
+        (content, gop, b, res, float(rng.normal(5.0, 2.0)))
+        for content in ("naïve,\"clip\"", "中文", "plain", "emoji🎬\n")
+        for gop in range(7)
+        for b in (800.0, 1500.5, 3000.0)
+        for res in ((640, 360), (1280, 720), (1920, 1080))
+    ]
+    log = QualityLog.from_records(records)
+    ladder = {800.0: [(640, 360)], 1500.5: [(640, 360), (1280, 720)], 3000.0: [(1280, 720), (1920, 1080)]}
+    return simulate(log, ladder, granularity)
+
+
+@st.composite
+def raw_traces(draw):
+    """DrsTrace values as any caller may build them, non-finite scores
+    included."""
+    n = draw(st.integers(1, 5))
+    rungs = tuple(draw(st.lists(st.floats(1.0, 1e5), min_size=1, max_size=3, unique=True)))
+    resolutions = ((2, 2), (4, 3), (1920, 1080))
+    gop_ids = tuple((draw(CONTENT_IDS), draw(st.integers(-(2**40), 2**40))) for _ in range(n))
+    chosen_res = np.array(
+        draw(st.lists(st.integers(0, 2), min_size=n * len(rungs), max_size=n * len(rungs))), dtype=np.int64
+    ).reshape(n, len(rungs))
+    chosen_score = np.array(
+        draw(st.lists(st.floats(allow_nan=True), min_size=n * len(rungs), max_size=n * len(rungs))), dtype=float
+    ).reshape(n, len(rungs))
+    with np.errstate(invalid="ignore", over="ignore"):
+        per_rung_mean = chosen_score.mean(axis=0)
+    return DrsTrace(
+        rungs=rungs,
+        resolutions=resolutions,
+        gop_ids=gop_ids,
+        granularity_gops=draw(st.integers(1, 9)),
+        chosen_res=chosen_res,
+        chosen_score=chosen_score,
+        per_rung_mean=per_rung_mean,
+        flips=np.array(draw(st.lists(st.integers(0, 50), min_size=len(rungs), max_size=len(rungs)))),
+    )
+
+
+class TestTraceWriters:
+    @pytest.mark.parametrize("granularity", [1, 3])
+    def test_json_bytes(self, tmp_path, granularity):
+        trace = unicode_trace(granularity)
+        path = tmp_path / "out" / "trace.json"
+        io.write_trace_json(path, trace)
+        assert path.read_bytes() == oracle_trace_json(trace).encode("utf-8")
+        io.write_json(tmp_path / "ref.json", io.trace_to_dict(trace))
+        assert path.read_bytes() == (tmp_path / "ref.json").read_bytes()
+
+    @pytest.mark.parametrize("granularity", [1, 3])
+    def test_csv_bytes(self, tmp_path, granularity):
+        trace = unicode_trace(granularity)
+        io.write_trace_csv(tmp_path / "new.csv", trace)
+        oracle_write_trace_csv(tmp_path / "old.csv", trace)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    @given(raw_traces())
+    @settings(max_examples=100, deadline=None)
+    def test_any_trace(self, tmp_path_factory, trace):
+        out = tmp_path_factory.mktemp("trace")
+        io.write_trace_json(out / "trace.json", trace)
+        assert (out / "trace.json").read_text(encoding="utf-8") == oracle_trace_json(trace)
+        io.write_trace_csv(out / "new.csv", trace)
+        oracle_write_trace_csv(out / "old.csv", trace)
+        assert (out / "new.csv").read_bytes() == (out / "old.csv").read_bytes()
+
+    def test_round_trip_through_reader(self, tmp_path):
+        trace = unicode_trace(3)
+        io.write_trace_json(tmp_path / "trace.json", trace)
+        back = io.load_trace(tmp_path / "trace.json")
+        assert back.gop_ids == trace.gop_ids
+        assert_same_trace(back, trace)

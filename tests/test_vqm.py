@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from drskit.errors import EmptyTrainingSet, InsufficientContents, SchemaMismatch
+from drskit.errors import EmptyTrainingSet, InputError, InsufficientContents, SchemaMismatch
 from drskit.forest import RegressionForest, TreeParams
 from drskit.protocol import CvConfig, cross_validate, greedy_feature_selection
 from drskit.vqm import (
@@ -189,6 +189,35 @@ class TestSerialization:
         doc["format_version"] = 99
         with pytest.raises(SchemaMismatch):
             model_from_dict(doc)
+
+    def test_truncated_file_is_input_error(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text('{"format_version": 1,', encoding="utf-8")
+        with pytest.raises(InputError, match="not valid JSON") as err:
+            load_model(path)
+        assert str(path) in str(err.value)
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda doc: doc.pop("forest"),
+            lambda doc: doc["base"].pop("intercept"),
+            lambda doc: doc.__setitem__("schema", ["names"]),
+            lambda doc: doc.__setitem__("seed", "seven"),
+            lambda doc: doc["base"].__setitem__("coefs", {"a": 1}),
+        ],
+        ids=["no-forest", "no-intercept", "schema-list", "seed-text", "coefs-object"],
+    )
+    def test_bad_field_is_input_error(self, tmp_path, damage):
+        rng = np.random.default_rng(33)
+        records, schema = make_records(2, 8, lambda s, n: s, rng)
+        doc = model_to_dict(train(records, schema, Hyperparams(n_trees=2), seed=0))
+        damage(doc)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(InputError, match="missing or malformed field") as err:
+            load_model(path)
+        assert str(path) in str(err.value)
 
     def test_json_stable(self, tmp_path):
         rng = np.random.default_rng(32)
