@@ -17,10 +17,10 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-# Only modules that every command needs are imported here.  rdmodel,
-# rcql and protocol load scipy (about a second of start-up), so each
-# command imports them, and the other modules it alone uses, in its
-# body and pays for them only when it runs.
+# Only modules that every command needs are imported here.  rdmodel
+# and rcql load scipy (about half a second of start-up), so each command
+# imports them, and the other modules it alone uses, in its body and
+# pays for them only when it runs.
 from . import __version__, io
 from .avc.features import extract_gop_features
 from .errors import InputError, ToolkitError
@@ -200,6 +200,13 @@ def cmd_crossover(args, argv) -> int:
     from .rdmodel import find_crossover, fit_logistic
 
     curves = _mean_rd_curves(args)
+    fits = {}  # a resolution shared by two pairs is fitted once
+
+    def fitted(content, res):
+        if (content, res) not in fits:
+            fits[content, res] = fit_logistic(curves[content][res])
+        return fits[content, res]
+
     results = []
     for content in sorted(curves):
         res_list = sorted(curves[content], key=lambda r: r[0] * r[1])
@@ -219,8 +226,8 @@ def cmd_crossover(args, argv) -> int:
                     min(lo_curve.bitrates[-1], hi_curve.bitrates[-1]),
                 )
             xover = find_crossover(
-                fit_logistic(lo_curve),
-                fit_logistic(hi_curve),
+                fitted(content, lo_res),
+                fitted(content, hi_res),
                 rng,
                 io.format_resolution(lo_res),
                 io.format_resolution(hi_res),

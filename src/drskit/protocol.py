@@ -12,8 +12,8 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
 
+from .corr import spearman
 from .errors import InsufficientContents, InvariantError, SchemaMismatch
 from .vqm import (
     DEFAULT_BASE_FEATURES,
@@ -69,11 +69,9 @@ class CvResult:
 
 
 def _content_srocc(labels: np.ndarray, preds: np.ndarray) -> float:
-    if labels.size < 3 or np.ptp(labels) == 0.0 or np.ptp(preds) == 0.0:
+    if labels.size < 3:
         return float("nan")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return float(stats.spearmanr(labels, preds).statistic)
+    return spearman(labels, preds)  # NaN for constant labels or predictions
 
 
 def cross_validate(

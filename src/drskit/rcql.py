@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import integrate
 
+from .corr import pearson, spearman
 from .curves import ScoredPoint
 from .errors import (
     DegenerateInput,
@@ -35,6 +36,7 @@ from .errors import (
 from .rdmodel import (
     STATUS_NONE,
     CrossOverResult,
+    LogisticParams,
     RDCurve,
     find_crossover,
     fit_logistic,
@@ -203,11 +205,7 @@ def correlations(subjective, objective) -> tuple[float, float]:
         raise DegenerateInput(f"correlations need >= 3 samples, got {s.size}")
     if np.ptp(s) == 0.0 or np.ptp(o) == 0.0:
         raise DegenerateInput("correlation input has zero variance")
-    from scipy import stats  # imported here: fit and crossover never need it
-
-    srocc = float(stats.spearmanr(s, o).statistic)
-    plcc = float(stats.pearsonr(s, o).statistic)
-    return srocc, plcc
+    return spearman(s, o), pearson(s, o)
 
 
 @dataclass(frozen=True)
@@ -294,6 +292,15 @@ def build_report(
     if pairs is None:
         pairs = list(zip(all_res, all_res[1:]))
 
+    # A resolution shared by two pairs is fitted once per score column.
+    fits: dict[tuple[str, tuple[int, int], str], LogisticParams] = {}
+
+    def fitted(content: str, res: tuple[int, int], recs: list[ScoredPoint], column: str) -> LogisticParams:
+        key = (content, res, column)
+        if key not in fits:
+            fits[key] = fit_logistic(RDCurve.from_samples(res, [(p.bitrate_kbps, getattr(p, column)) for p in recs]))
+        return fits[key]
+
     rows: list[PairContentRow] = []
     skipped: list[str] = []
     for res_lo, res_hi in pairs:
@@ -314,10 +321,10 @@ def build_report(
                 skipped.append(f"{label}/{content}: no overlapping bitrate range")
                 continue
 
-            subj_lo = fit_logistic(RDCurve.from_samples(res_lo, [(p.bitrate_kbps, p.subjective_jod) for p in lo_recs]))
-            subj_hi = fit_logistic(RDCurve.from_samples(res_hi, [(p.bitrate_kbps, p.subjective_jod) for p in hi_recs]))
-            obj_lo = fit_logistic(RDCurve.from_samples(res_lo, [(p.bitrate_kbps, p.objective_score) for p in lo_recs]))
-            obj_hi = fit_logistic(RDCurve.from_samples(res_hi, [(p.bitrate_kbps, p.objective_score) for p in hi_recs]))
+            subj_lo = fitted(content, res_lo, lo_recs, "subjective_jod")
+            subj_hi = fitted(content, res_hi, hi_recs, "subjective_jod")
+            obj_lo = fitted(content, res_lo, lo_recs, "objective_score")
+            obj_hi = fitted(content, res_hi, hi_recs, "objective_score")
 
             lo_label = f"{res_lo[0]}x{res_lo[1]}"
             hi_label = f"{res_hi[0]}x{res_hi[1]}"

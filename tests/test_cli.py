@@ -399,6 +399,20 @@ class TestImportBudget:
         assert "scipy.optimize" in loaded
         assert "scipy.integrate" not in loaded
 
+    def test_bench_rcql_loads_no_scipy_stats(self, tmp_path):
+        points_csv = tmp_path / "scores.csv"
+        write_scored_points(points_csv)
+        loaded = self.probe("bench-rcql", "--scored-points", points_csv, "--out", tmp_path / "rcql")
+        assert "scipy.optimize" in loaded
+        assert "scipy.stats" not in loaded
+
+    @pytest.mark.parametrize("command", ["cv", "gfs"])
+    def test_cv_and_gfs_load_no_scipy(self, tmp_path, command):
+        features = tmp_path / "features.csv"
+        write_feature_csv(features)
+        argv = [command, "--features", features, "--folds", 2, "--runs", 1, "--trees", 3, "--out", tmp_path / "o"]
+        assert self.probe(*argv) == []
+
     def test_report_loads_no_scipy(self, tmp_path):
         golden = DATA / "golden_trace.json"
         assert self.probe("report", "--baseline-trace", golden, "--drs-trace", golden, "--out", tmp_path / "rep") == []

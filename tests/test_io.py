@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 from pathlib import Path
@@ -54,6 +55,50 @@ class TestQualityLogCsv:
         p = write(tmp_path / "log.csv", "content_id,gop_index,bitrate_kbps,width,height,vqm_score\n")
         with pytest.raises(CsvSchemaError):
             io.load_quality_log(p)
+
+
+class TestGcPausedDuringRead:
+    """The readers pause the cyclic garbage collector and always restore
+    the state they found."""
+
+    BAD_TABLES = [
+        "",  # no header
+        "content_id,gop_index,bitrate_kbps,width,height\nc,0,1000,960,540\n",  # missing column
+        "content_id,gop_index,bitrate_kbps,width,height,vqm_score\nc,0,1000,960\n",  # short row
+        "content_id,gop_index,bitrate_kbps,width,height,vqm_score\nc,0,oops,960,540,5.0\n",  # bad cell
+    ]
+
+    def test_collector_paused_while_reading(self, monkeypatch):
+        seen = []
+        real_from_columns = io.QualityLog.from_columns.__func__
+
+        def spy(cls, *args):
+            seen.append(gc.isenabled())
+            return real_from_columns(cls, *args)
+
+        monkeypatch.setattr(io.QualityLog, "from_columns", classmethod(spy))
+        assert gc.isenabled()
+        io.load_quality_log(DATA / "synthetic_quality_log.csv")
+        assert seen == [False]
+        assert gc.isenabled()
+
+    @pytest.mark.parametrize("text", BAD_TABLES)
+    def test_collector_enabled_after_schema_error(self, tmp_path, text):
+        p = write(tmp_path / "log.csv", text)
+        with pytest.raises(CsvSchemaError):
+            io.load_quality_log(p)
+        assert gc.isenabled()
+        with pytest.raises(CsvSchemaError):
+            io.load_scored_points(p)
+        assert gc.isenabled()
+
+    def test_collector_left_disabled_if_it_was(self):
+        gc.disable()
+        try:
+            io.load_quality_log(DATA / "synthetic_quality_log.csv")
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
 
 
 class TestFeatureLogCsv:
