@@ -102,7 +102,6 @@ def _add_hyperparam_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--feature-subsample", default="sqrt", help="per-split feature pool: sqrt, all, int or fraction")
     p.add_argument("--no-bootstrap", action="store_true", help="disable bootstrap resampling")
     p.add_argument("--base-features", default=None, help="comma-separated base-model feature names")
-    p.add_argument("--threads", type=int, default=1, help="worker thread bound")
 
 
 def _mean_rd_curves(args) -> dict[str, dict[tuple[int, int], RDCurve]]:
@@ -404,7 +403,6 @@ def cmd_train(args, argv) -> int:
         hyperparams=_hyperparams(args),
         seed=args.seed,
         base_features=_base_features(args),
-        threads=args.threads,
     )
     labeled = [r for r in records if r.label_jod is not None]
     X = np.array([r.features for r in labeled], dtype=float)
@@ -437,7 +435,6 @@ def cmd_cv(args, argv) -> int:
         cv,
         hyperparams=_hyperparams(args),
         base_features=_base_features(args),
-        threads=args.threads,
     )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -471,7 +468,6 @@ def cmd_gfs(args, argv) -> int:
         max_features=args.max_features,
         hyperparams=_hyperparams(args),
         base_features=_base_features(args),
-        threads=args.threads,
     )
     out = Path(args.out)
     io.write_json(

@@ -3,13 +3,11 @@
 Plain CART regression: axis-aligned splits chosen by variance reduction,
 bootstrap resampling per tree, and a fresh feature subsample at every
 split.  All randomness flows from one integer seed through spawned
-per-tree generators, so training is reproducible bit for bit regardless
-of how many worker threads fit the trees.
+per-tree generators, so training is reproducible bit for bit.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,10 +65,11 @@ class RegressionTree:
                 (right if is_right else left)[parent] = node_id
 
             y_node = y[idx]
-            mean = float(y_node.mean())
+            total1 = y_node.sum()
+            mean = float(total1 / idx.size)  # the same bits as y_node.mean()
             split = None
             if (params.max_depth is None or depth < params.max_depth) and idx.size >= 2 * params.min_leaf:
-                split = self._best_split(X, y_node, idx, rng, mtry, params.min_leaf)
+                split = self._best_split(X, y_node, total1, idx, rng, mtry, params.min_leaf)
 
             if split is None:
                 feature.append(_LEAF)
@@ -99,9 +98,11 @@ class RegressionTree:
         return self
 
     @staticmethod
-    def _best_split(X, y_node, idx, rng, mtry, min_leaf):
+    def _best_split(X, y_node, total1, idx, rng, mtry, min_leaf):
+        """Lowest-cost cut over the node's feature draw, searched for all
+        drawn features at once (one column each).  Ties go to the first
+        cut within a feature, then to the first feature drawn."""
         n = idx.size
-        total1 = y_node.sum()
         total2 = float(y_node @ y_node)
         parent_sse = total2 - total1 * total1 / n
         if parent_sse <= 0.0:
@@ -109,39 +110,38 @@ class RegressionTree:
 
         d = X.shape[1]
         feats = rng.choice(d, size=mtry, replace=False) if mtry < d else np.arange(d)
+        cols = np.arange(feats.size)
 
-        best = None  # (cost, feature, threshold)
-        for f in feats:
-            v = X[idx, f]
-            order = np.argsort(v, kind="stable")
-            sv = v[order]
-            sy = y_node[order]
-            # Valid cut positions: between distinct values, both children
-            # at least min_leaf samples.
-            pos = np.arange(min_leaf - 1, n - min_leaf)
-            pos = pos[sv[pos] < sv[pos + 1]]
-            if pos.size == 0:
-                continue
-            c1 = np.cumsum(sy)
-            c2 = np.cumsum(sy * sy)
-            nl = pos + 1.0
-            nr = n - nl
-            sse_l = c2[pos] - c1[pos] ** 2 / nl
-            sse_r = (total2 - c2[pos]) - (total1 - c1[pos]) ** 2 / nr
-            cost = sse_l + sse_r
-            k = int(np.argmin(cost))
-            if best is None or cost[k] < best[0]:
-                thr = 0.5 * (sv[pos[k]] + sv[pos[k] + 1])
-                best = (float(cost[k]), int(f), thr, order, pos[k])
+        V = X[idx[:, None], feats]
+        order = V.argsort(axis=0, kind="stable")
+        sv = V[order, cols]
+        sy = y_node[order]
+        # Cut p puts sorted rows 0..p on the left; both children keep at
+        # least min_leaf samples.  A cut is valid only between distinct
+        # values, so NaN (sorted last) never bounds a valid cut.
+        lo, hi = min_leaf - 1, n - min_leaf
+        c1 = sy[:hi].cumsum(axis=0)[lo:]
+        c2 = (sy[:hi] * sy[:hi]).cumsum(axis=0)[lo:]
+        nl = np.arange(lo + 1.0, hi + 1.0)[:, None]
+        nr = n - nl
+        cost = (c2 - c1**2 / nl) + ((total2 - c2) - (total1 - c1) ** 2 / nr)
+        cost[~(sv[lo:hi] < sv[lo + 1 : hi + 1])] = np.inf
 
-        if best is None:
+        ks = cost.argmin(axis=0)
+        best = cost[ks, cols]
+        j = int(best.argmin())
+        if best[j] == np.inf:
             return None
-        cost, f, thr, order, cut = best
-        gain = parent_sse - cost
+        gain = parent_sse - float(best[j])
         if gain <= 0.0:
             return None
-        sorted_idx = idx[order]
-        return f, thr, gain, np.sort(sorted_idx[: cut + 1]), np.sort(sorted_idx[cut + 1 :])
+        cut = lo + int(ks[j])
+        thr = 0.5 * (sv[cut, j] + sv[cut + 1, j])
+        # Rows sorted at or before the cut go left.  Masking keeps idx
+        # order, and every index list starts as arange(n), so the
+        # children's index lists stay ascending.
+        go_left = V[:, j] <= sv[cut, j]
+        return int(feats[j]), thr, gain, idx[go_left], idx[~go_left]
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         node = np.zeros(X.shape[0], dtype=np.int64)
@@ -184,8 +184,11 @@ class RegressionForest:
     seed: int = 0
     trees: list[RegressionTree] = field(default_factory=list)
     n_features: int = 0
+    # All trees' nodes in one set of arrays (see _concat_trees); set by
+    # fit and from_dict.
+    _nodes: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
-    def fit(self, X: np.ndarray, y: np.ndarray, threads: int = 1) -> "RegressionForest":
+    def fit(self, X: np.ndarray, y: np.ndarray) -> "RegressionForest":
         X = np.asarray(X, dtype=float)
         y = np.asarray(y, dtype=float)
         if X.ndim != 2 or X.shape[0] != y.shape[0]:
@@ -195,19 +198,52 @@ class RegressionForest:
         self.n_features = X.shape[1]
         n = X.shape[0]
 
-        seeds = np.random.SeedSequence(self.seed).spawn(self.n_trees)
-
-        def fit_one(seq):
+        self.trees = []
+        for seq in np.random.SeedSequence(self.seed).spawn(self.n_trees):
             rng = np.random.default_rng(seq)
             idx = rng.integers(0, n, size=n) if self.params.bootstrap else np.arange(n)
-            return RegressionTree().fit(X[idx], y[idx], rng, self.params)
-
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                self.trees = list(pool.map(fit_one, seeds))
-        else:
-            self.trees = [fit_one(s) for s in seeds]
+            self.trees.append(RegressionTree().fit(X[idx], y[idx], rng, self.params))
+        self._concat_trees()
         return self
+
+    def _concat_trees(self) -> None:
+        if not self.trees:
+            self._nodes = None
+            return
+        sizes = [t.feature.size for t in self.trees]
+        roots = np.cumsum([0] + sizes[:-1])
+
+        def concat(name):
+            parts = [getattr(t, name) for t in self.trees]
+            if [a.size for a in parts] != sizes:
+                raise ValueError(f"a tree's {name!r} array and its 'feature' array differ in length")
+            return np.concatenate(parts)
+
+        feature = concat("feature")
+        is_leaf = feature == _LEAF
+        own = np.arange(feature.size)
+        shift = np.repeat(roots, sizes)
+        left = concat("left") + shift
+        right = concat("right") + shift
+        # Node ids are assigned depth-first, so a split node's children
+        # come after it and inside its own tree; a tree read from a file
+        # that breaks this would walk into another tree, or forever.
+        end = np.repeat(roots + sizes, sizes)
+        bad_feature = (feature < 0) | (feature >= self.n_features)
+        bad_child = (left <= own) | (left >= end) | (right <= own) | (right >= end)
+        if np.any((bad_feature | bad_child) & ~is_leaf):
+            raise ValueError("a split node names a feature or a child node outside its range")
+        # Global node ids; a leaf's two children are the leaf itself, so a
+        # step from a leaf stays there whatever the comparison says.
+        children = np.stack([np.where(is_leaf, own, left), np.where(is_leaf, own, right)], axis=1)
+        self._nodes = (
+            is_leaf,
+            np.where(is_leaf, 0, feature),
+            concat("threshold"),
+            children.ravel(),
+            concat("value"),
+            roots,
+        )
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         if not self.trees:
@@ -215,9 +251,21 @@ class RegressionForest:
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != self.n_features:
             raise SchemaMismatch(f"expected {self.n_features} features, got {X.shape}")
-        out = np.zeros(X.shape[0])
-        for t in self.trees:
-            out += t.predict(X)
+        is_leaf, feature, threshold, children, value, roots = self._nodes
+        n_rows, d = X.shape
+        # One walk for every (tree, row) pair, one step per depth level.
+        # Child 2*node is the left one, 2*node + 1 the right one, taken
+        # when x <= threshold fails (so also for NaN).
+        node = np.repeat(roots, n_rows)
+        row_start = np.tile(np.arange(n_rows) * d, roots.size)
+        x = X.ravel()
+        while not is_leaf[node].all():
+            go_right = ~(x[row_start + feature[node]] <= threshold[node])
+            node = children[2 * node + go_right]
+        # Sum tree by tree, in tree order, as a loop over trees would.
+        out = np.zeros(n_rows)
+        for leaf_values in value[node].reshape(roots.size, n_rows):
+            out += leaf_values
         return out / len(self.trees)
 
     def feature_importances(self) -> np.ndarray:
@@ -254,4 +302,5 @@ class RegressionForest:
         forest = cls(n_trees=d["n_trees"], params=params, seed=d["seed"])
         forest.n_features = d["n_features"]
         forest.trees = [RegressionTree.from_dict(t, forest.n_features) for t in d["trees"]]
+        forest._concat_trees()
         return forest

@@ -80,7 +80,6 @@ def cross_validate(
     cv: CvConfig,
     hyperparams: Hyperparams | None = None,
     base_features: tuple[str, ...] = DEFAULT_BASE_FEATURES,
-    threads: int = 1,
 ) -> CvResult:
     """Repeated k-fold CV with content-based splits.
 
@@ -112,9 +111,7 @@ def cross_validate(
             if not train_recs:
                 continue
             train_seed = int(np.random.SeedSequence((cv.seed, run, fold_i)).generate_state(1)[0])
-            model = train(
-                train_recs, schema, hyperparams, seed=train_seed, base_features=base_features, threads=threads
-            )
+            model = train(train_recs, schema, hyperparams, seed=train_seed, base_features=base_features)
             for c in sorted(test_contents):
                 recs = by_content[c]
                 if set(r.content_id for r in recs) & train_contents:
@@ -172,7 +169,6 @@ def greedy_feature_selection(
     max_features: int | None = None,
     hyperparams: Hyperparams | None = None,
     base_features: tuple[str, ...] = DEFAULT_BASE_FEATURES,
-    threads: int = 1,
 ) -> GfsResult:
     """Forward selection over the candidate features.
 
@@ -195,7 +191,7 @@ def greedy_feature_selection(
     def score_for(names: tuple[str, ...]) -> float:
         sub = candidate_schema.subset(names)
         sub_records = [r.subset_features(candidate_schema, sub) for r in records]
-        result = cross_validate(sub_records, sub, cv, hyperparams, base_features=base_features, threads=threads)
+        result = cross_validate(sub_records, sub, cv, hyperparams, base_features=base_features)
         val = result.aggregate[objective]
         return float("-inf") if np.isnan(val) else sign * val
 

@@ -40,6 +40,7 @@ from .rdmodel import (
     RDCurve,
     find_crossover,
     fit_logistic,
+    sign_flips,
 )
 
 __all__ = [
@@ -93,14 +94,11 @@ def _crossings_between(f_low, f_high, a: float, b: float) -> list[float]:
     # Re-scan all brackets, not just the first crossing.
     grid = np.linspace(a, b, 4096)
     diff = np.asarray(f_high(grid), dtype=float) - np.asarray(f_low(grid), dtype=float)
-    signs = np.sign(diff)
-    nz = np.flatnonzero(signs != 0.0)
     roots = []
-    for i, j in zip(nz, nz[1:]):
-        if signs[i] * signs[j] < 0:
-            res = find_crossover(f_low, f_high, (grid[i], grid[j]), scan_samples=64)
-            if res.has_bitrate:
-                roots.append(res.bitrate_kbps)
+    for i, j in zip(*sign_flips(np.sign(diff))):
+        res = find_crossover(f_low, f_high, (grid[i], grid[j]), scan_samples=64)
+        if res.has_bitrate:
+            roots.append(res.bitrate_kbps)
     return roots
 
 

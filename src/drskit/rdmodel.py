@@ -202,6 +202,21 @@ def _as_evaluator(obj):
     raise NotEvaluable(f"object of type {type(obj).__name__} is not evaluable as a curve")
 
 
+def sign_flips(signs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Brackets of sign changes in a sampled ``np.sign`` array.
+
+    Zeros are skipped: each nonzero sample is paired with the next
+    nonzero one, and a pair of opposite signs is a bracket.  NaN never
+    brackets.  Returns the index arrays of the brackets' two ends, in
+    grid order.
+    """
+    signs = np.ravel(signs)  # a 0-d difference of two constant curves
+    nz = np.flatnonzero(signs)  # NaN counts as nonzero
+    s = signs[nz]
+    flip = np.flatnonzero(s[:-1] * s[1:] < 0)
+    return nz[flip], nz[flip + 1]
+
+
 def find_crossover(
     low,
     high,
@@ -228,21 +243,14 @@ def find_crossover(
 
     grid = np.linspace(lo, hi, scan_samples)
     diff = np.asarray(f_high(grid), dtype=float) - np.asarray(f_low(grid), dtype=float)
-    signs = np.sign(diff)
-
-    nz = np.flatnonzero(signs != 0.0)
-    brackets = []
-    for a_idx, b_idx in zip(nz, nz[1:]):
-        if signs[a_idx] * signs[b_idx] < 0:
-            brackets.append((grid[a_idx], grid[b_idx]))
-
-    if not brackets:
+    a_idx, b_idx = sign_flips(np.sign(diff))
+    if a_idx.size == 0:
         return CrossOverResult(None, low_label, high_label, STATUS_NONE, lo, hi, 0)
 
     def g(x):
         return float(f_high(x)) - float(f_low(x))
 
-    a, b = brackets[0]
+    a, b = grid[a_idx[0]], grid[b_idx[0]]
     ga = g(a)
     while b - a > bisect_tol_kbps:
         mid = 0.5 * (a + b)
@@ -256,5 +264,6 @@ def find_crossover(
             b = mid
     root = 0.5 * (a + b)
 
-    status = STATUS_FOUND if len(brackets) == 1 else STATUS_MULTIPLE
-    return CrossOverResult(root, low_label, high_label, status, lo, hi, len(brackets))
+    n_brackets = int(a_idx.size)
+    status = STATUS_FOUND if n_brackets == 1 else STATUS_MULTIPLE
+    return CrossOverResult(root, low_label, high_label, status, lo, hi, n_brackets)

@@ -159,7 +159,6 @@ def train(
     hyperparams: Hyperparams | None = None,
     seed: int = 0,
     base_features: tuple[str, ...] = DEFAULT_BASE_FEATURES,
-    threads: int = 1,
 ) -> ForestModel:
     """Fit the affine base by least squares on the labeled records, then
     fit the residual forest over the full feature vector.
@@ -194,7 +193,7 @@ def train(
         seed=seed,
     )
     residual = y - model.base_predict(X)
-    model.forest.fit(X, residual, threads=threads)
+    model.forest.fit(X, residual)
     return model
 
 

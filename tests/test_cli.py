@@ -381,6 +381,19 @@ class TestImportBudget:
     def test_cli_import_loads_no_scipy(self):
         assert self.probe() == []
 
+    def test_version_loads_no_concurrent_futures(self):
+        probe = (
+            "import sys\n"
+            "from drskit.cli import main\n"
+            "try:\n"
+            "    main(['--version'])\n"
+            "except SystemExit:\n"
+            "    pass\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'concurrent'))\n"
+        )
+        result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
+        assert result.stdout.splitlines()[-1] == "[]"
+
     def test_select_ladder_loads_no_scipy(self, tmp_path):
         log = DATA / "synthetic_quality_log.csv"
         assert self.probe("select-ladder", "--log", log, "--k", 10, "--out", tmp_path / "sel") == []

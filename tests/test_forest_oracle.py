@@ -1,0 +1,207 @@
+"""Differential tests of the forest against its earlier per-feature code.
+
+``OracleTree`` keeps the split search that ran one stable argsort per
+node and feature, and ``oracle_fit``/``oracle_predict`` keep the forest's
+tree loop and its per-tree prediction sum.  The vectorised forest must
+grow the same trees (same JSON, same gains) and predict the same bits.
+"""
+
+import json
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from drskit.forest import RegressionForest, TreeParams
+
+_LEAF = -1
+
+
+class OracleTree:
+    def fit(self, X, y, rng, params):
+        n, d = X.shape
+        mtry = params.mtry(d)
+        feature, threshold, left, right, value = [], [], [], [], []
+        gains = np.zeros(d)
+
+        stack = [(np.arange(n), 0, -1, False)]
+        while stack:
+            idx, depth, parent, is_right = stack.pop()
+            node_id = len(feature)
+            if parent >= 0:
+                (right if is_right else left)[parent] = node_id
+
+            y_node = y[idx]
+            mean = float(y_node.mean())
+            split = None
+            if (params.max_depth is None or depth < params.max_depth) and idx.size >= 2 * params.min_leaf:
+                split = self._best_split(X, y_node, idx, rng, mtry, params.min_leaf)
+
+            if split is None:
+                feature.append(_LEAF)
+                threshold.append(0.0)
+                left.append(_LEAF)
+                right.append(_LEAF)
+                value.append(mean)
+                continue
+
+            f, thr, gain, left_idx, right_idx = split
+            gains[f] += gain
+            feature.append(f)
+            threshold.append(thr)
+            left.append(_LEAF)
+            right.append(_LEAF)
+            value.append(mean)
+            stack.append((right_idx, depth + 1, node_id, True))
+            stack.append((left_idx, depth + 1, node_id, False))
+
+        self.feature = np.asarray(feature, dtype=np.int64)
+        self.threshold = np.asarray(threshold, dtype=float)
+        self.left = np.asarray(left, dtype=np.int64)
+        self.right = np.asarray(right, dtype=np.int64)
+        self.value = np.asarray(value, dtype=float)
+        self.gains = gains
+        return self
+
+    @staticmethod
+    def _best_split(X, y_node, idx, rng, mtry, min_leaf):
+        n = idx.size
+        total1 = y_node.sum()
+        total2 = float(y_node @ y_node)
+        parent_sse = total2 - total1 * total1 / n
+        if parent_sse <= 0.0:
+            return None
+
+        d = X.shape[1]
+        feats = rng.choice(d, size=mtry, replace=False) if mtry < d else np.arange(d)
+
+        best = None
+        for f in feats:
+            v = X[idx, f]
+            order = np.argsort(v, kind="stable")
+            sv = v[order]
+            sy = y_node[order]
+            pos = np.arange(min_leaf - 1, n - min_leaf)
+            pos = pos[sv[pos] < sv[pos + 1]]
+            if pos.size == 0:
+                continue
+            c1 = np.cumsum(sy)
+            c2 = np.cumsum(sy * sy)
+            nl = pos + 1.0
+            nr = n - nl
+            sse_l = c2[pos] - c1[pos] ** 2 / nl
+            sse_r = (total2 - c2[pos]) - (total1 - c1[pos]) ** 2 / nr
+            cost = sse_l + sse_r
+            k = int(np.argmin(cost))
+            if best is None or cost[k] < best[0]:
+                thr = 0.5 * (sv[pos[k]] + sv[pos[k] + 1])
+                best = (float(cost[k]), int(f), thr, order, pos[k])
+
+        if best is None:
+            return None
+        cost, f, thr, order, cut = best
+        gain = parent_sse - cost
+        if gain <= 0.0:
+            return None
+        sorted_idx = idx[order]
+        return f, thr, gain, np.sort(sorted_idx[: cut + 1]), np.sort(sorted_idx[cut + 1 :])
+
+    def predict(self, X):
+        node = np.zeros(X.shape[0], dtype=np.int64)
+        while True:
+            feats = self.feature[node]
+            active = feats != _LEAF
+            if not active.any():
+                break
+            rows = np.flatnonzero(active)
+            f = feats[rows]
+            go_left = X[rows, f] <= self.threshold[node[rows]]
+            node[rows] = np.where(go_left, self.left[node[rows]], self.right[node[rows]])
+        return self.value[node]
+
+    def to_dict(self):
+        return {
+            "feature": self.feature.tolist(),
+            "threshold": self.threshold.tolist(),
+            "left": self.left.tolist(),
+            "right": self.right.tolist(),
+            "value": self.value.tolist(),
+        }
+
+
+def oracle_fit(X, y, n_trees, params, seed):
+    n = X.shape[0]
+    trees = []
+    for seq in np.random.SeedSequence(seed).spawn(n_trees):
+        rng = np.random.default_rng(seq)
+        idx = rng.integers(0, n, size=n) if params.bootstrap else np.arange(n)
+        trees.append(OracleTree().fit(X[idx], y[idx], rng, params))
+    return trees
+
+
+def oracle_predict(trees, X):
+    out = np.zeros(X.shape[0])
+    for t in trees:
+        out += t.predict(X)
+    return out / len(trees)
+
+
+@st.composite
+def forest_cases(draw):
+    min_leaf = draw(st.integers(1, 6))
+    d = draw(st.integers(1, 14))
+    n = draw(st.integers(2 * min_leaf - 1, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    levels = draw(st.sampled_from([None, 1, 2, 3, 5]))  # None: continuous
+    X = rng.normal(size=(n, d)) if levels is None else rng.integers(0, levels, (n, d)).astype(float)
+    if draw(st.booleans()):  # duplicate rows
+        X = X[rng.integers(0, max(1, n // 3), n)]
+    if d > 1 and draw(st.booleans()):  # duplicate column
+        X[:, rng.integers(0, d)] = X[:, rng.integers(0, d)]
+    if draw(st.booleans()):  # NaN column, partly or wholly
+        X[rng.random(n) < draw(st.sampled_from([0.3, 1.0])), rng.integers(0, d)] = np.nan
+
+    y_kind = draw(st.sampled_from(["normal", "integer", "constant"]))
+    if y_kind == "normal":
+        y = rng.normal(2.0, 3.0, n)
+    elif y_kind == "integer":
+        y = rng.integers(0, 4, n).astype(float)
+    else:
+        y = np.full(n, draw(st.sampled_from([0.0, -0.0, 3.5])))
+
+    subsample = draw(
+        st.one_of(
+            st.sampled_from(["sqrt", "all"]),
+            st.integers(1, d + 2),
+            st.floats(0.05, 1.0),
+        )
+    )
+    params = TreeParams(
+        max_depth=draw(st.sampled_from([None, 0, 3])),
+        min_leaf=min_leaf,
+        feature_subsample=subsample,
+        bootstrap=draw(st.booleans()),
+    )
+    Q = np.concatenate([X, rng.normal(size=(7, d)), np.full((1, d), np.nan)])
+    # Nine trees or more: summing one row's leaf values pairwise (as a
+    # reduction along the tree axis may) would change the last bits.
+    return X, y, params, draw(st.integers(1, 12)), draw(st.integers(0, 2**32 - 1)), Q
+
+
+@settings(max_examples=250, deadline=None)
+@given(forest_cases())
+def test_forest_matches_per_feature_oracle(case):
+    X, y, params, n_trees, seed, Q = case
+    forest = RegressionForest(n_trees=n_trees, params=params, seed=seed).fit(X, y)
+    oracle = oracle_fit(X, y, n_trees, params, seed)
+
+    # json.dumps tells -0.0 from 0.0, which == on dicts does not.
+    assert json.dumps(forest.to_dict()["trees"]) == json.dumps([t.to_dict() for t in oracle])
+    for tree, old in zip(forest.trees, oracle):
+        assert tree.gains.tobytes() == old.gains.tobytes()
+    expected = oracle_predict(oracle, Q).tobytes()
+    assert forest.predict(Q).tobytes() == expected
+    assert RegressionForest.from_dict(forest.to_dict()).predict(Q).tobytes() == expected
+    for i in (0, -2, -1):  # one row at a time, as vqm.predict calls it
+        assert forest.predict(Q[[i]]).tobytes() == oracle_predict(oracle, Q[[i]]).tobytes()

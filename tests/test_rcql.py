@@ -13,7 +13,8 @@ from drskit.rcql import (
     rcql_avg,
     rcql_s,
 )
-from drskit.rdmodel import CrossOverResult, LogisticParams, eval_logistic
+from drskit import rcql
+from drskit.rdmodel import STATUS_NONE, CrossOverResult, LogisticParams, eval_logistic, find_crossover
 
 LO = (1280, 720)
 HI = (1920, 1080)
@@ -89,6 +90,51 @@ class TestRcqlS:
         oracle_signed = abs(float(np.trapezoid(diff, grid)))
         assert got == pytest.approx(oracle_abs, rel=1e-4)
         assert got > oracle_signed
+
+
+def loop_crossings_between(f_low, f_high, a, b, search):
+    """_crossings_between with its per-grid-point bracketing loop."""
+    if b - a <= 0:
+        return []
+    probe = search(f_low, f_high, (a, b), scan_samples=4096)
+    if probe.status == STATUS_NONE:
+        return []
+    grid = np.linspace(a, b, 4096)
+    diff = np.asarray(f_high(grid), dtype=float) - np.asarray(f_low(grid), dtype=float)
+    signs = np.sign(diff)
+    nz = np.flatnonzero(signs != 0.0)
+    roots = []
+    for i, j in zip(nz, nz[1:]):
+        if signs[i] * signs[j] < 0:
+            res = search(f_low, f_high, (grid[i], grid[j]), scan_samples=64)
+            if res.has_bitrate:
+                roots.append(res.bitrate_kbps)
+    return roots
+
+
+class TestCrossingsBetween:
+    @pytest.mark.parametrize("period", [300.0, 900.0, 5000.0])
+    @pytest.mark.parametrize("offset", [0.0, 0.3, 0.5, 0.7])
+    def test_matches_loop_roots_and_searches(self, monkeypatch, period, offset):
+        def flat(x):
+            return np.zeros_like(np.asarray(x, dtype=float)) + 5.0
+
+        def wavy(x):
+            return 5.0 + offset + 0.5 * np.sin(np.asarray(x, dtype=float) / period)
+
+        def counting(calls):
+            def search(*args, **kwargs):
+                calls.append((args[2], kwargs))
+                return find_crossover(*args, **kwargs)
+
+            return search
+
+        got_calls, expected_calls = [], []
+        monkeypatch.setattr(rcql, "find_crossover", counting(got_calls))
+        got = rcql._crossings_between(flat, wavy, 2000.0, 9000.0)
+        expected = loop_crossings_between(flat, wavy, 2000.0, 9000.0, counting(expected_calls))
+        assert got == expected
+        assert got_calls == expected_calls
 
 
 class TestRcqlAvg:

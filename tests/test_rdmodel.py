@@ -18,6 +18,7 @@ from drskit.rdmodel import (
     find_crossover,
     fit_logistic,
     fit_pchip,
+    sign_flips,
 )
 
 RES = (1920, 1080)
@@ -238,6 +239,45 @@ def sorted_by_x(xs, ys):
     return np.asarray(ys)[order]
 
 
+def loop_sign_flips(signs):
+    """The per-grid-point bracketing loop that sign_flips replaced."""
+    nz = np.flatnonzero(signs != 0.0)
+    return [(int(a), int(b)) for a, b in zip(nz, nz[1:]) if signs[a] * signs[b] < 0]
+
+
+class TestSignFlips:
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(st.sampled_from([-1.0, 0.0, -0.0, 1.0, math.nan]), max_size=300))
+    def test_matches_loop(self, values):
+        signs = np.array(values, dtype=float)
+        a, b = sign_flips(signs)
+        assert list(zip(a.tolist(), b.tolist())) == loop_sign_flips(signs)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=300))
+    def test_matches_loop_on_sampled_differences(self, values):
+        signs = np.sign(np.array(values, dtype=float))
+        a, b = sign_flips(signs)
+        assert list(zip(a.tolist(), b.tolist())) == loop_sign_flips(signs)
+
+    @pytest.mark.parametrize(
+        "values, expected",
+        [
+            ([], []),
+            ([1.0], []),
+            ([0.0], []),
+            ([0.0, 0.0, 0.0], []),
+            ([1.0, 0.0, 0.0, -1.0], [(0, 3)]),
+            ([-1.0, math.nan, 1.0], []),
+            ([1.0, -1.0, 0.0, 1.0, 1.0, -1.0], [(0, 1), (1, 3), (4, 5)]),
+        ],
+    )
+    def test_edge_cases(self, values, expected):
+        signs = np.array(values, dtype=float)
+        a, b = sign_flips(signs)
+        assert list(zip(a.tolist(), b.tolist())) == expected == loop_sign_flips(signs)
+
+
 class TestFindCrossover:
     def test_identical_curves_none(self):
         p = LogisticParams(8, 2, 600, 400, 0.0)
@@ -280,6 +320,11 @@ class TestFindCrossover:
         assert res.status == STATUS_MULTIPLE
         assert res.n_crossings == 2
         assert res.bitrate_kbps == pytest.approx(1000.0 * math.pi, abs=1e-3)
+
+    def test_constant_callables_never_cross(self):
+        res = find_crossover(lambda x: 5.0, lambda x: 6.0, (1000.0, 2000.0))
+        assert res.status == STATUS_NONE
+        assert res.n_crossings == 0
 
     def test_invalid_range(self):
         p = LogisticParams(8, 2, 600, 400, 0.0)

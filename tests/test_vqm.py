@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from drskit.errors import EmptyTrainingSet, InputError, InsufficientContents, SchemaMismatch
-from drskit.forest import RegressionForest, TreeParams
+from drskit.forest import RegressionForest, RegressionTree, TreeParams
 from drskit.protocol import CvConfig, cross_validate, greedy_feature_selection
 from drskit.vqm import (
     FeatureSchema,
@@ -67,14 +67,22 @@ class TestForest:
         q = rng.uniform(0, 1, (30, 5))
         assert np.array_equal(a.predict(q), b.predict(q))
 
-    def test_threaded_fit_matches_serial(self):
+    def test_each_tree_matches_a_lone_tree_from_its_spawned_seed(self):
         rng = np.random.default_rng(4)
         X = rng.uniform(0, 1, (80, 4))
         y = rng.uniform(0, 10, 80)
-        serial = RegressionForest(n_trees=8, seed=5).fit(X, y)
-        threaded = RegressionForest(n_trees=8, seed=5).fit(X, y, threads=4)
+        params = TreeParams()
+        forest = RegressionForest(n_trees=8, params=params, seed=5).fit(X, y)
         q = rng.uniform(0, 1, (25, 4))
-        assert np.array_equal(serial.predict(q), threaded.predict(q))
+        seeds = np.random.SeedSequence(5).spawn(8)
+        assert len(forest.trees) == len(seeds)
+        for tree, seq in zip(forest.trees, seeds):
+            tree_rng = np.random.default_rng(seq)
+            idx = tree_rng.integers(0, 80, size=80)
+            alone = RegressionTree().fit(X[idx], y[idx], tree_rng, params)
+            assert tree.to_dict() == alone.to_dict()
+            assert tree.gains.tobytes() == alone.gains.tobytes()
+            assert tree.predict(q).tobytes() == alone.predict(q).tobytes()
 
     def test_importances_zero_for_unused_feature(self):
         rng = np.random.default_rng(6)
@@ -205,8 +213,22 @@ class TestSerialization:
             lambda doc: doc.__setitem__("schema", ["names"]),
             lambda doc: doc.__setitem__("seed", "seven"),
             lambda doc: doc["base"].__setitem__("coefs", {"a": 1}),
+            lambda doc: doc["forest"]["trees"][0]["left"].__setitem__(0, 10**6),
+            lambda doc: doc["forest"]["trees"][0]["right"].__setitem__(0, 0),
+            lambda doc: doc["forest"]["trees"][0]["feature"].__setitem__(0, 99),
+            lambda doc: doc["forest"]["trees"][0]["value"].pop(),
         ],
-        ids=["no-forest", "no-intercept", "schema-list", "seed-text", "coefs-object"],
+        ids=[
+            "no-forest",
+            "no-intercept",
+            "schema-list",
+            "seed-text",
+            "coefs-object",
+            "child-past-tree",
+            "child-loops-back",
+            "feature-past-schema",
+            "short-node-array",
+        ],
     )
     def test_bad_field_is_input_error(self, tmp_path, damage):
         rng = np.random.default_rng(33)
