@@ -3,7 +3,9 @@ quality models, ladder optimization and resolution-switching simulation.
 
 Submodules and the names below are imported on first access (PEP 562),
 so ``import drskit`` and each CLI command load only the modules they
-use; the modelling modules pull in scipy, which costs about a second.
+use.  Only ``rdmodel`` and ``rcql`` load scipy (close to a second under
+``python -X importtime``); every other module, ``vqm`` and ``protocol``
+included, needs numpy alone.
 """
 
 from importlib import import_module as _import_module

@@ -24,6 +24,7 @@ import numpy as np
 from . import __version__, io
 from .avc.features import extract_gop_features
 from .errors import InputError, ToolkitError
+from .forest import TreeParams
 from .ladder import (
     LadderProblem,
     best_resolution_probability,
@@ -32,14 +33,7 @@ from .ladder import (
     optimize_ladder_greedy,
     weights_from_bandwidth,
 )
-from .vqm import (
-    DEFAULT_BASE_FEATURES,
-    Hyperparams,
-    feature_importance,
-    model_to_dict,
-    predict_batch,
-    train,
-)
+from .vqm import DEFAULT_BASE_FEATURES, _labeled_matrix, _train_matrix, feature_importance, model_to_dict, predict_batch
 
 if TYPE_CHECKING:
     from .curves import RDCurve
@@ -79,8 +73,8 @@ def _parse_feature_subsample(text: str):
         raise InputError(f"feature subsample {text!r} must be sqrt, all, an int or a float") from None
 
 
-def _hyperparams(args) -> Hyperparams:
-    return Hyperparams(
+def _hyperparams(args) -> TreeParams:
+    return TreeParams(
         n_trees=args.trees,
         max_depth=None if args.max_depth == 0 else args.max_depth,
         min_leaf=args.min_leaf,
@@ -397,30 +391,22 @@ def cmd_report(args, argv) -> int:
 
 def cmd_train(args, argv) -> int:
     records, schema = io.load_feature_log(args.features, args.units)
-    model = train(
-        records,
-        schema,
-        hyperparams=_hyperparams(args),
-        seed=args.seed,
-        base_features=_base_features(args),
-    )
-    labeled = [r for r in records if r.label_jod is not None]
-    X = np.array([r.features for r in labeled], dtype=float)
-    y = np.array([r.label_jod for r in labeled], dtype=float)
+    X, y, _ = _labeled_matrix(records, schema)
+    model = _train_matrix(X, y, schema, _hyperparams(args), args.seed, _base_features(args))
     train_rmse = float(np.sqrt(np.mean((predict_batch(model, X) - y) ** 2)))
     out = Path(args.out)
     io.write_json(out / "model.json", model_to_dict(model))
     io.write_json(
         out / "training_summary.json",
         {
-            "n_records": len(labeled),
+            "n_records": y.size,
             "train_rmse": train_rmse,
             "feature_importance": feature_importance(model),
             "seed": args.seed,
         },
     )
     _echo_config(out, "train", argv, args)
-    print(f"trained on {len(labeled)} records, train rmse {train_rmse:.6f}")
+    print(f"trained on {y.size} records, train rmse {train_rmse:.6f}")
     return 0
 
 

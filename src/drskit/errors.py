@@ -71,6 +71,10 @@ class InsufficientContents(InfeasibleError):
     pass
 
 
+class InvalidHyperparameter(InputError):
+    pass
+
+
 # bitstream parsing
 class BitstreamExhausted(InputError):
     pass

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptyTrainingSet, SchemaMismatch
+from .errors import EmptyTrainingSet, InvalidHyperparameter, SchemaMismatch
 
 __all__ = ["TreeParams", "RegressionTree", "RegressionForest"]
 
@@ -21,10 +21,21 @@ _LEAF = -1
 
 @dataclass(frozen=True)
 class TreeParams:
+    n_trees: int = 100
     max_depth: int | None = 12
     min_leaf: int = 4
     feature_subsample: str | int | float | None = "sqrt"
     bootstrap: bool = True
+
+    def __post_init__(self):
+        if self.n_trees < 1:
+            raise InvalidHyperparameter(f"n_trees must be >= 1, got {self.n_trees}")
+        if self.max_depth is not None and self.max_depth < 0:
+            raise InvalidHyperparameter(f"max_depth must be >= 0 or None, got {self.max_depth}")
+        if self.min_leaf < 1:
+            raise InvalidHyperparameter(f"min_leaf must be >= 1, got {self.min_leaf}")
+        if isinstance(self.feature_subsample, float) and not np.isfinite(self.feature_subsample):
+            raise InvalidHyperparameter(f"feature_subsample must be finite, got {self.feature_subsample}")
 
     def mtry(self, n_features: int) -> int:
         fs = self.feature_subsample
@@ -179,7 +190,6 @@ class RegressionTree:
 
 @dataclass
 class RegressionForest:
-    n_trees: int = 100
     params: TreeParams = field(default_factory=TreeParams)
     seed: int = 0
     trees: list[RegressionTree] = field(default_factory=list)
@@ -199,7 +209,7 @@ class RegressionForest:
         n = X.shape[0]
 
         self.trees = []
-        for seq in np.random.SeedSequence(self.seed).spawn(self.n_trees):
+        for seq in np.random.SeedSequence(self.seed).spawn(self.params.n_trees):
             rng = np.random.default_rng(seq)
             idx = rng.integers(0, n, size=n) if self.params.bootstrap else np.arange(n)
             self.trees.append(RegressionTree().fit(X[idx], y[idx], rng, self.params))
@@ -279,7 +289,7 @@ class RegressionForest:
 
     def to_dict(self) -> dict:
         return {
-            "n_trees": self.n_trees,
+            "n_trees": self.params.n_trees,
             "seed": self.seed,
             "n_features": self.n_features,
             "params": {
@@ -294,12 +304,13 @@ class RegressionForest:
     @classmethod
     def from_dict(cls, d: dict) -> "RegressionForest":
         params = TreeParams(
+            n_trees=d["n_trees"],
             max_depth=d["params"]["max_depth"],
             min_leaf=d["params"]["min_leaf"],
             feature_subsample=d["params"]["feature_subsample"],
             bootstrap=d["params"]["bootstrap"],
         )
-        forest = cls(n_trees=d["n_trees"], params=params, seed=d["seed"])
+        forest = cls(params=params, seed=d["seed"])
         forest.n_features = d["n_features"]
         forest.trees = [RegressionTree.from_dict(t, forest.n_features) for t in d["trees"]]
         forest._concat_trees()

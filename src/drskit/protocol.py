@@ -8,21 +8,14 @@ median over runs first, then the mean across contents.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .corr import spearman
 from .errors import InsufficientContents, InvariantError, SchemaMismatch
-from .vqm import (
-    DEFAULT_BASE_FEATURES,
-    FeatureSchema,
-    GopRecord,
-    Hyperparams,
-    predict_batch,
-    train,
-)
+from .forest import TreeParams
+from .vqm import DEFAULT_BASE_FEATURES, FeatureSchema, GopRecord, _labeled_matrix, _train_matrix, predict_batch
 
 __all__ = [
     "CvConfig",
@@ -78,7 +71,7 @@ def cross_validate(
     records: list[GopRecord],
     schema: FeatureSchema,
     cv: CvConfig,
-    hyperparams: Hyperparams | None = None,
+    hyperparams: TreeParams | None = None,
     base_features: tuple[str, ...] = DEFAULT_BASE_FEATURES,
 ) -> CvResult:
     """Repeated k-fold CV with content-based splits.
@@ -88,39 +81,39 @@ def cross_validate(
     scored on the held-out one.  Returns every (run, fold, content) row
     plus the median-then-mean aggregate for SROCC and RMSE.
     """
-    labeled = [r for r in records if r.label_jod is not None]
-    contents = sorted({r.content_id for r in labeled})
+    return _cross_validate(*_labeled_matrix(records, schema), schema, cv, hyperparams, base_features)
+
+
+def _cross_validate(X, y, content_ids, schema, cv, hyperparams, base_features) -> CvResult:
+    """``cross_validate`` on the rows ``_labeled_matrix`` gathered."""
+    contents = sorted(set(content_ids))
     if len(contents) < cv.folds:
         raise InsufficientContents(f"{len(contents)} contents cannot fill {cv.folds} folds")
-
-    by_content: dict[str, list[GopRecord]] = {c: [] for c in contents}
-    for r in labeled:
-        by_content[r.content_id].append(r)
+    position = {c: k for k, c in enumerate(contents)}
+    codes = np.array([position[c] for c in content_ids], dtype=np.intp)
+    # Training rows go by sorted content, then file order: the forest's
+    # bootstrap draws rows by position, so this order fixes the model.
+    grouped = np.argsort(codes, kind="stable")
+    rows_of = [np.flatnonzero(codes == k) for k in range(len(contents))]
 
     rows: list[CvRow] = []
     for run in range(cv.runs):
         rng = np.random.default_rng(np.random.SeedSequence((cv.seed, run)))
         perm = rng.permutation(len(contents))
-        fold_groups = np.array_split(perm, cv.folds)
-        for fold_i, group in enumerate(fold_groups):
-            test_contents = {contents[i] for i in group}
-            train_contents = set(contents) - test_contents
-            if train_contents & test_contents:
+        for fold_i, group in enumerate(np.array_split(perm, cv.folds)):
+            train_rows = grouped[~np.isin(codes[grouped], group)]
+            if np.isin(group, codes[train_rows]).any():
                 raise InvariantError("content leaked between train and test folds")
-            train_recs = [r for c in sorted(train_contents) for r in by_content[c]]
-            if not train_recs:
+            if train_rows.size == 0:
                 continue
             train_seed = int(np.random.SeedSequence((cv.seed, run, fold_i)).generate_state(1)[0])
-            model = train(train_recs, schema, hyperparams, seed=train_seed, base_features=base_features)
-            for c in sorted(test_contents):
-                recs = by_content[c]
-                if set(r.content_id for r in recs) & train_contents:
-                    raise InvariantError("content leaked between train and test folds")
-                X = np.array([r.features for r in recs], dtype=float)
-                labels = np.array([r.label_jod for r in recs], dtype=float)
-                preds = predict_batch(model, X)
+            model = _train_matrix(X[train_rows], y[train_rows], schema, hyperparams, train_seed, base_features)
+            for k in np.sort(group):
+                test = rows_of[k]
+                labels = y[test]
+                preds = predict_batch(model, X[test])
                 rmse = float(np.sqrt(np.mean((preds - labels) ** 2)))
-                rows.append(CvRow(run, fold_i, c, len(recs), _content_srocc(labels, preds), rmse))
+                rows.append(CvRow(run, fold_i, contents[k], test.size, _content_srocc(labels, preds), rmse))
 
     per_content: dict[str, dict[str, float]] = {}
     for c in contents:
@@ -129,9 +122,7 @@ def cross_validate(
             continue
         sroccs = np.array([r.srocc for r in c_rows])
         rmses = np.array([r.rmse for r in c_rows])
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            med_srocc = float(np.nanmedian(sroccs)) if not np.all(np.isnan(sroccs)) else float("nan")
+        med_srocc = float(np.nanmedian(sroccs)) if not np.all(np.isnan(sroccs)) else float("nan")
         per_content[c] = {"srocc": med_srocc, "rmse": float(np.median(rmses))}
 
     srocc_meds = [v["srocc"] for v in per_content.values() if not np.isnan(v["srocc"])]
@@ -167,7 +158,7 @@ def greedy_feature_selection(
     objective: str = "srocc",
     epsilon: float = 1e-4,
     max_features: int | None = None,
-    hyperparams: Hyperparams | None = None,
+    hyperparams: TreeParams | None = None,
     base_features: tuple[str, ...] = DEFAULT_BASE_FEATURES,
 ) -> GfsResult:
     """Forward selection over the candidate features.
@@ -182,16 +173,17 @@ def greedy_feature_selection(
         raise SchemaMismatch(f"unknown objective {objective!r}")
     if len(candidate_schema) < 2:
         raise InsufficientContents(f"need >= 2 candidate features, got {len(candidate_schema)}")
-    contents = {r.content_id for r in records if r.label_jod is not None}
-    if len(contents) < cv.folds:
-        raise InsufficientContents(f"{len(contents)} contents cannot fill {cv.folds} folds")
+    X, y, content_ids = _labeled_matrix(records, candidate_schema)
+    n_contents = len(set(content_ids))
+    if n_contents < cv.folds:
+        raise InsufficientContents(f"{n_contents} contents cannot fill {cv.folds} folds")
 
     sign = 1.0 if objective == "srocc" else -1.0
 
     def score_for(names: tuple[str, ...]) -> float:
+        cols = [candidate_schema.index(n) for n in names]
         sub = candidate_schema.subset(names)
-        sub_records = [r.subset_features(candidate_schema, sub) for r in records]
-        result = cross_validate(sub_records, sub, cv, hyperparams, base_features=base_features)
+        result = _cross_validate(X[:, cols], y, content_ids, sub, cv, hyperparams, base_features)
         val = result.aggregate[objective]
         return float("-inf") if np.isnan(val) else sign * val
 

@@ -8,7 +8,6 @@ the 0-10 quality scale.  Models serialize to versioned JSON.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -105,21 +104,9 @@ class GopRecord:
         )
 
 
-@dataclass(frozen=True)
-class Hyperparams:
-    n_trees: int = 100
-    max_depth: int | None = 12
-    min_leaf: int = 4
-    feature_subsample: str | int | float | None = "sqrt"
-    bootstrap: bool = True
-
-    def tree_params(self) -> TreeParams:
-        return TreeParams(
-            max_depth=self.max_depth,
-            min_leaf=self.min_leaf,
-            feature_subsample=self.feature_subsample,
-            bootstrap=self.bootstrap,
-        )
+# The residual forest's parameters, under the name the model API has
+# always used.
+Hyperparams = TreeParams
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,21 +129,25 @@ class ForestModel:
         return self.base_predict(X) + self.forest.predict(X)
 
 
-def _design(records: list[GopRecord], schema: FeatureSchema) -> np.ndarray:
-    X = np.empty((len(records), len(schema)))
-    for i, r in enumerate(records):
+def _labeled_matrix(records: list[GopRecord], schema: FeatureSchema) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
+    """The labeled records, in file order, as a C-ordered feature matrix,
+    their labels and their content ids; unlabeled records are skipped."""
+    labeled = [r for r in records if r.label_jod is not None]
+    X = np.empty((len(labeled), len(schema)))
+    for i, r in enumerate(labeled):
         if len(r.features) != len(schema):
             raise SchemaMismatch(
                 f"record {r.content_id}/{r.gop_index} has {len(r.features)} features, schema has {len(schema)}"
             )
         X[i] = r.features
-    return X
+    y = np.array([r.label_jod for r in labeled], dtype=float)
+    return X, y, tuple(r.content_id for r in labeled)
 
 
 def train(
     records: list[GopRecord],
     schema: FeatureSchema,
-    hyperparams: Hyperparams | None = None,
+    hyperparams: TreeParams | None = None,
     seed: int = 0,
     base_features: tuple[str, ...] = DEFAULT_BASE_FEATURES,
 ) -> ForestModel:
@@ -166,17 +157,18 @@ def train(
     ``base_features`` is filtered to the names actually present in the
     schema; with none present, the base degenerates to the label mean.
     """
-    hp = hyperparams or Hyperparams()
-    labeled = [r for r in records if r.label_jod is not None]
-    if not labeled:
-        raise EmptyTrainingSet("no labeled records to train on")
-    X = _design(labeled, schema)
-    y = np.array([r.label_jod for r in labeled], dtype=float)
+    X, y, _ = _labeled_matrix(records, schema)
+    return _train_matrix(X, y, schema, hyperparams, seed, base_features)
 
+
+def _train_matrix(X, y, schema, hyperparams, seed, base_features) -> ForestModel:
+    """``train`` on the rows ``_labeled_matrix`` gathered (or a subset)."""
+    if y.size == 0:
+        raise EmptyTrainingSet("no labeled records to train on")
     base_names = tuple(n for n in base_features if n in schema.names)
     if base_names:
         idx = [schema.index(n) for n in base_names]
-        A = np.column_stack([np.ones(len(labeled)), X[:, idx]])
+        A = np.column_stack([np.ones(y.size), X[:, idx]])
         coef, *_ = np.linalg.lstsq(A, y, rcond=None)
         intercept = float(coef[0])
         coefs = coef[1:]
@@ -189,7 +181,7 @@ def train(
         base_feature_names=base_names,
         base_intercept=intercept,
         base_coefs=coefs,
-        forest=RegressionForest(n_trees=hp.n_trees, params=hp.tree_params(), seed=seed),
+        forest=RegressionForest(params=hyperparams or TreeParams(), seed=seed),
         seed=seed,
     )
     residual = y - model.base_predict(X)
@@ -250,9 +242,9 @@ def model_from_dict(d: dict) -> ForestModel:
 
 
 def save_model(model: ForestModel, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model_to_dict(model), fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    from .io import write_json  # io imports this module
+
+    write_json(path, model_to_dict(model))
 
 
 def load_model(path) -> ForestModel:

@@ -273,6 +273,27 @@ class TestModelCommands:
         doc = json.loads((out / "gfs_result.json").read_text())
         assert doc["selected"][0] == "f_signal"
 
+    @pytest.mark.parametrize("command", ["train", "cv", "gfs"])
+    @pytest.mark.parametrize(
+        "option",
+        [
+            ("--min-leaf", "0"),
+            ("--max-depth", "-1"),
+            ("--trees", "-1"),
+            ("--trees", "0"),
+            ("--feature-subsample", "nan"),
+            ("--feature-subsample", "inf"),
+        ],
+        ids=lambda o: " ".join(o),
+    )
+    def test_bad_forest_option_exits_2(self, tmp_path, capsys, command, option):
+        feats = tmp_path / "features.csv"
+        write_feature_csv(feats)
+        assert run_cli(command, "--features", feats, *option, "--out", tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert "error: InvalidHyperparameter" in err
+        assert "Traceback" not in err
+
     def test_train_deterministic_across_runs(self, tmp_path):
         feats = tmp_path / "features.csv"
         write_feature_csv(feats)

@@ -44,7 +44,7 @@ class TestForest:
         X = rng.uniform(0, 1, (40, 3))
         y = rng.uniform(0, 10, 40)
         forest = RegressionForest(
-            n_trees=1, params=TreeParams(max_depth=None, min_leaf=1, feature_subsample="all", bootstrap=False), seed=1
+            params=TreeParams(n_trees=1, max_depth=None, min_leaf=1, feature_subsample="all", bootstrap=False), seed=1
         )
         forest.fit(X, y)
         assert np.allclose(forest.predict(X), y, atol=1e-12)
@@ -53,7 +53,7 @@ class TestForest:
         rng = np.random.default_rng(1)
         X = rng.uniform(0, 1, (120, 4))
         y = 3.0 * X[:, 0] + rng.normal(0, 0.1, 120)
-        forest = RegressionForest(n_trees=20, seed=2).fit(X, y)
+        forest = RegressionForest(params=TreeParams(n_trees=20), seed=2).fit(X, y)
         rmse = np.sqrt(np.mean((forest.predict(X) - y) ** 2))
         const_rmse = np.sqrt(np.mean((y - y.mean()) ** 2))
         assert rmse <= const_rmse
@@ -62,8 +62,8 @@ class TestForest:
         rng = np.random.default_rng(3)
         X = rng.uniform(0, 1, (60, 5))
         y = rng.uniform(0, 10, 60)
-        a = RegressionForest(n_trees=12, seed=9).fit(X, y)
-        b = RegressionForest(n_trees=12, seed=9).fit(X, y)
+        a = RegressionForest(params=TreeParams(n_trees=12), seed=9).fit(X, y)
+        b = RegressionForest(params=TreeParams(n_trees=12), seed=9).fit(X, y)
         q = rng.uniform(0, 1, (30, 5))
         assert np.array_equal(a.predict(q), b.predict(q))
 
@@ -71,8 +71,8 @@ class TestForest:
         rng = np.random.default_rng(4)
         X = rng.uniform(0, 1, (80, 4))
         y = rng.uniform(0, 10, 80)
-        params = TreeParams()
-        forest = RegressionForest(n_trees=8, params=params, seed=5).fit(X, y)
+        params = TreeParams(n_trees=8)
+        forest = RegressionForest(params=params, seed=5).fit(X, y)
         q = rng.uniform(0, 1, (25, 4))
         seeds = np.random.SeedSequence(5).spawn(8)
         assert len(forest.trees) == len(seeds)
@@ -84,11 +84,30 @@ class TestForest:
             assert tree.gains.tobytes() == alone.gains.tobytes()
             assert tree.predict(q).tobytes() == alone.predict(q).tobytes()
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            dict(n_trees=0),
+            dict(max_depth=-1),
+            dict(min_leaf=0),
+            dict(feature_subsample=float("nan")),
+            dict(feature_subsample=float("-inf")),
+        ],
+    )
+    def test_bad_params_are_input_errors(self, bad):
+        with pytest.raises(InputError):
+            TreeParams(**bad)
+
+    def test_boundary_params_are_accepted(self):
+        assert Hyperparams is TreeParams
+        for ok in (dict(n_trees=1, max_depth=0, min_leaf=1), dict(max_depth=None, feature_subsample=1.0)):
+            TreeParams(**ok)
+
     def test_importances_zero_for_unused_feature(self):
         rng = np.random.default_rng(6)
         X = np.column_stack([rng.uniform(0, 1, 100), np.full(100, 7.0)])
         y = 2.0 * X[:, 0]
-        forest = RegressionForest(n_trees=10, params=TreeParams(feature_subsample="all"), seed=7).fit(X, y)
+        forest = RegressionForest(params=TreeParams(n_trees=10, feature_subsample="all"), seed=7).fit(X, y)
         imp = forest.feature_importances()
         assert imp[1] == 0.0
         assert imp.sum() == pytest.approx(1.0, abs=1e-9)
@@ -189,6 +208,17 @@ class TestSerialization:
         X = rng.uniform(0, 1, (20, len(schema)))
         assert np.array_equal(predict_batch(model, X), predict_batch(loaded, X))
         assert model_to_dict(loaded) == model_to_dict(model)
+
+    def test_forest_dict_keeps_n_trees_beside_params(self):
+        rng = np.random.default_rng(34)
+        records, schema = make_records(2, 8, lambda s, n: s, rng)
+        doc = model_to_dict(train(records, schema, Hyperparams(n_trees=2, min_leaf=3), seed=0))["forest"]
+        assert doc["n_trees"] == 2 and len(doc["trees"]) == 2
+        assert doc["params"] == {"max_depth": 12, "min_leaf": 3, "feature_subsample": "sqrt", "bootstrap": True}
+        assert RegressionForest.from_dict(doc).params == TreeParams(n_trees=2, min_leaf=3)
+        doc["params"]["min_leaf"] = 0
+        with pytest.raises(InputError):
+            RegressionForest.from_dict(doc)
 
     def test_version_check(self):
         rng = np.random.default_rng(31)
