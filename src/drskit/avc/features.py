@@ -75,7 +75,6 @@ class StreamDiagnostics:
     slices_before_first_idr: int = 0
     unparsed_units: int = 0
     gop_length_mismatches: int = 0
-    notes: list[str] = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -138,6 +137,8 @@ def aggregate_gop_features(
     """Aggregate parsed slices into one feature row per IDR-delimited GOP."""
     if fps <= 0 or not math.isfinite(fps):
         raise MalformedSyntax(f"fps must be positive and finite, got {fps}")
+    if not math.isfinite(gop_seconds * fps):
+        raise MalformedSyntax(f"gop_seconds * fps must be finite, got {gop_seconds} * {fps}")
     diag = diagnostics if diagnostics is not None else StreamDiagnostics()
 
     frames = _group_frames(slices)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 __all__ = [
@@ -11,7 +12,6 @@ __all__ = [
     "NAL_SPS",
     "NAL_PPS",
     "NAL_AUD",
-    "VCL_TYPES",
     "NalUnit",
     "AnnexBScan",
     "strip_emulation_prevention",
@@ -27,9 +27,10 @@ NAL_SPS = 7
 NAL_PPS = 8
 NAL_AUD = 9
 
-# Data-partitioned slices (2-4) carry macroblock data we never parse, so
-# the GOP aggregator counts only plain coded slices as VCL.
-VCL_TYPES = frozenset({NAL_NON_IDR_SLICE, 2, 3, 4, NAL_IDR_SLICE})
+# H.264 7.4.1: inside a NAL unit, 00 00 is never followed by a byte <= 3;
+# the encoder escapes such a byte with a 03 in between.
+_ESCAPED = re.compile(b"\x00\x00\x03(?=[\x00-\x03])")
+_NEEDS_ESCAPE = re.compile(b"\x00\x00(?=[\x00-\x03])")
 
 
 @dataclass(frozen=True)
@@ -59,33 +60,12 @@ class AnnexBScan:
 
 def strip_emulation_prevention(data: bytes) -> bytes:
     """Remove 0x03 emulation-prevention bytes (00 00 03 0x, x <= 3)."""
-    out = bytearray()
-    zeros = 0
-    i = 0
-    n = len(data)
-    while i < n:
-        b = data[i]
-        if zeros >= 2 and b == 0x03 and i + 1 < n and data[i + 1] <= 0x03:
-            zeros = 0
-            i += 1
-            continue
-        out.append(b)
-        zeros = zeros + 1 if b == 0 else 0
-        i += 1
-    return bytes(out)
+    return _ESCAPED.sub(b"\x00\x00", data)
 
 
 def insert_emulation_prevention(data: bytes) -> bytes:
     """Insert 0x03 before any byte <= 3 that follows two zero bytes."""
-    out = bytearray()
-    zeros = 0
-    for b in data:
-        if zeros >= 2 and b <= 0x03:
-            out.append(0x03)
-            zeros = 0
-        out.append(b)
-        zeros = zeros + 1 if b == 0 else 0
-    return bytes(out)
+    return _NEEDS_ESCAPE.sub(b"\x00\x00\x03", data)
 
 
 def _find_start_codes(data: bytes) -> list[tuple[int, int]]:

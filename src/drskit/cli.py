@@ -158,14 +158,14 @@ def cmd_extract_features(args, argv) -> int:
 
 
 def cmd_fit(args, argv) -> int:
-    from .rdmodel import fit_logistic
+    from .rdmodel import MIN_FIT_POINTS, fit_logistic
 
     curves = _mean_rd_curves(args)
     fits = []
     for content in sorted(curves):
         for res in sorted(curves[content], key=lambda r: r[0] * r[1]):
             curve = curves[content][res]
-            if len(curve.points) < 4:
+            if len(curve.points) < MIN_FIT_POINTS:
                 continue
             params = fit_logistic(curve)
             fits.append(
@@ -181,7 +181,7 @@ def cmd_fit(args, argv) -> int:
                 }
             )
     if not fits:
-        raise InputError("no (content, resolution) group has the 4+ points needed for a fit")
+        raise InputError(f"no (content, resolution) group has the {MIN_FIT_POINTS}+ points needed for a fit")
     out = Path(args.out)
     io.write_json(out / "fits.json", {"fits": fits})
     _echo_config(out, "fit", argv, args)
@@ -190,7 +190,7 @@ def cmd_fit(args, argv) -> int:
 
 
 def cmd_crossover(args, argv) -> int:
-    from .rdmodel import find_crossover, fit_logistic
+    from .rdmodel import MIN_FIT_POINTS, find_crossover, fit_logistic
 
     curves = _mean_rd_curves(args)
     fits = {}  # a resolution shared by two pairs is fitted once
@@ -209,7 +209,7 @@ def cmd_crossover(args, argv) -> int:
                 continue
             lo_curve = curves[content][lo_res]
             hi_curve = curves[content][hi_res]
-            if len(lo_curve.points) < 4 or len(hi_curve.points) < 4:
+            if len(lo_curve.points) < MIN_FIT_POINTS or len(hi_curve.points) < MIN_FIT_POINTS:
                 continue
             if args.range:
                 rng = (args.range[0], args.range[1])
@@ -325,11 +325,11 @@ def cmd_simulate(args, argv) -> int:
             fh.write(f"{p.bitrate_kbps!r},{p.quality!r}\n")
     # Per-rung mean points feed the BD computation directly (PCHIP); a
     # logistic fit of the same points is emitted alongside for plotting.
-    if len(drs_curve.points) >= 4:
-        # Imported only now: scipy's import then reuses the memory that
-        # reading the log freed, which keeps the command's peak RSS lower.
-        from .rdmodel import fit_logistic
+    # Imported only now: scipy's import then reuses the memory that
+    # reading the log freed, which keeps the command's peak RSS lower.
+    from .rdmodel import MIN_FIT_POINTS, fit_logistic
 
+    if len(drs_curve.points) >= MIN_FIT_POINTS:
         fitted = fit_logistic(drs_curve)
         io.write_json(
             out / "rd_fit.json",

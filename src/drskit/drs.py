@@ -81,7 +81,8 @@ def simulate(log: QualityLog, ladder, granularity_gops: int = 1) -> DrsTrace:
 
     For every window of ``granularity_gops`` GOPs and every rung, the
     resolution with the highest window-summed score among the rung's
-    ladder entries is selected for all GOPs of the window.
+    ladder entries is selected for all GOPs of the window.  A window
+    wider than the log is one window over the whole log.
     """
     if granularity_gops < 1:
         raise IncompleteLog(f"granularity must be >= 1 GOP, got {granularity_gops}")
@@ -92,7 +93,7 @@ def simulate(log: QualityLog, ladder, granularity_gops: int = 1) -> DrsTrace:
     chosen_score = np.zeros((n, n_rungs))
     flips = np.zeros(n_rungs, dtype=np.int64)
 
-    g = granularity_gops
+    g = min(granularity_gops, n)
     full = n - n % g  # GOPs in whole windows
     rows = np.arange(n)
     for j, b in enumerate(log.rungs):

@@ -151,11 +151,20 @@ def _gc_paused():
             gc.enable()
 
 
+@contextlib.contextmanager
+def _utf8_only():
+    """A text file that does not decode is bad input, not a crash."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        raise InputError(f"file is not UTF-8 text ({exc})") from None
+
+
 def _read_table(path, required: tuple[str, ...], exact: bool = True) -> tuple[list[str], list[list[str]]]:
     """Header and data rows of a CSV file.  Blank lines are skipped, so
     data row ``k`` (from 0) is reported as row ``k + 2``; a row longer
     than the header keeps its extra cells, which no reader looks at."""
-    with _gc_paused(), open(path, "r", encoding="utf-8", newline="") as fh:
+    with _gc_paused(), open(path, "r", encoding="utf-8", newline="") as fh, _utf8_only():
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
@@ -420,7 +429,7 @@ def load_weights(path, units: str = "kbps") -> dict[float, float]:
 def load_bandwidth_samples(path, units: str = "kbps") -> list[float]:
     scale = unit_scale(units)
     samples = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8") as fh, _utf8_only():
         for i, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):

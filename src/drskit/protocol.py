@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .corr import spearman
-from .errors import InsufficientContents, InvariantError, SchemaMismatch
+from .errors import InsufficientContents, InvalidHyperparameter, InvariantError, SchemaMismatch
 from .forest import TreeParams
 from .vqm import DEFAULT_BASE_FEATURES, FeatureSchema, GopRecord, _labeled_matrix, _train_matrix, predict_batch
 
@@ -36,9 +36,9 @@ class CvConfig:
 
     def __post_init__(self):
         if self.folds < 2:
-            raise InsufficientContents(f"folds must be >= 2, got {self.folds}")
+            raise InvalidHyperparameter(f"folds must be >= 2, got {self.folds}")
         if self.runs < 1:
-            raise InsufficientContents(f"runs must be >= 1, got {self.runs}")
+            raise InvalidHyperparameter(f"runs must be >= 1, got {self.runs}")
 
 
 @dataclass(frozen=True)
@@ -173,6 +173,10 @@ def greedy_feature_selection(
         raise SchemaMismatch(f"unknown objective {objective!r}")
     if len(candidate_schema) < 2:
         raise InsufficientContents(f"need >= 2 candidate features, got {len(candidate_schema)}")
+    if max_features is not None and max_features < 0:
+        raise InvalidHyperparameter(f"max_features must be >= 0, got {max_features}")
+    if np.isnan(epsilon):
+        raise InvalidHyperparameter("epsilon must not be NaN")
     X, y, content_ids = _labeled_matrix(records, candidate_schema)
     n_contents = len(set(content_ids))
     if n_contents < cv.folds:

@@ -28,16 +28,17 @@ from .corr import pearson, spearman
 from .curves import ScoredPoint
 from .errors import (
     DegenerateInput,
+    InvalidRange,
     MismatchedPair,
     NoComparablePairs,
     NotEvaluable,
-    TooFewPoints,
 )
 from .rdmodel import (
-    STATUS_NONE,
+    MIN_FIT_POINTS,
     CrossOverResult,
     LogisticParams,
     RDCurve,
+    _as_evaluator,
     find_crossover,
     fit_logistic,
     sign_flips,
@@ -88,10 +89,8 @@ def _crossings_between(f_low, f_high, a: float, b: float) -> list[float]:
     """Interior sign-change locations of f_high - f_low on (a, b)."""
     if b - a <= 0:
         return []
-    probe = find_crossover(f_low, f_high, (a, b), scan_samples=4096)
-    if probe.status == STATUS_NONE:
-        return []
-    # Re-scan all brackets, not just the first crossing.
+    if not (math.isfinite(a) and math.isfinite(b)) or a <= 0:
+        raise InvalidRange(f"invalid search range [{a}, {b}]")
     grid = np.linspace(a, b, 4096)
     diff = np.asarray(f_high(grid), dtype=float) - np.asarray(f_low(grid), dtype=float)
     roots = []
@@ -117,8 +116,8 @@ def rcql_s(subjective_low_fit, subjective_high_fit, subj_xover_kbps: float, obj_
     if a == b:
         return 0.0
 
-    f_low = subjective_low_fit.evaluate if hasattr(subjective_low_fit, "evaluate") else subjective_low_fit
-    f_high = subjective_high_fit.evaluate if hasattr(subjective_high_fit, "evaluate") else subjective_high_fit
+    f_low = _as_evaluator(subjective_low_fit)
+    f_high = _as_evaluator(subjective_high_fit)
 
     cuts = [a] + _crossings_between(f_low, f_high, a, b) + [b]
     total = 0.0
@@ -267,7 +266,6 @@ def build_report(
     points: list[ScoredPoint],
     pairs: list[tuple[tuple[int, int], tuple[int, int]]] | None = None,
     tie_eps: float = DEFAULT_TIE_EPS,
-    min_points: int = 4,
 ) -> RcqlReport:
     """Fit subjective and objective curves per (content, resolution),
     locate both cross-overs per resolution pair, and assemble all
@@ -310,8 +308,8 @@ def build_report(
                 continue
             lo_recs = sorted(recs[res_lo], key=lambda p: p.bitrate_kbps)
             hi_recs = sorted(recs[res_hi], key=lambda p: p.bitrate_kbps)
-            if len(lo_recs) < min_points or len(hi_recs) < min_points:
-                skipped.append(f"{label}/{content}: fewer than {min_points} samples")
+            if len(lo_recs) < MIN_FIT_POINTS or len(hi_recs) < MIN_FIT_POINTS:
+                skipped.append(f"{label}/{content}: fewer than {MIN_FIT_POINTS} samples")
                 continue
             rng_lo = max(lo_recs[0].bitrate_kbps, hi_recs[0].bitrate_kbps)
             rng_hi = min(lo_recs[-1].bitrate_kbps, hi_recs[-1].bitrate_kbps)

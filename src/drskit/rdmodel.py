@@ -20,6 +20,7 @@ ladder decisions) is built on that primitive.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -39,6 +40,7 @@ __all__ = [
     "STATUS_FOUND",
     "STATUS_NONE",
     "STATUS_MULTIPLE",
+    "MIN_FIT_POINTS",
     "fit_logistic",
     "eval_logistic",
     "fit_pchip",
@@ -51,6 +53,9 @@ STATUS_MULTIPLE = "multiple_resolved"
 
 # Smallest admissible slope scale; keeps the logistic evaluable.
 _BETA4_FLOOR = 1e-9
+
+# Fewest samples a logistic fit takes: one per parameter.
+MIN_FIT_POINTS = 4
 
 
 @dataclass(frozen=True)
@@ -103,20 +108,20 @@ def _logistic_jacobian(p, x, y):
     return jac
 
 
-def fit_logistic(curve: RDCurve, n_starts: int = 16) -> LogisticParams:
+def fit_logistic(curve: RDCurve) -> LogisticParams:
     """Least-squares logistic fit with the inflection constrained to
     ``[r_min/2, r_min]``.
 
     The model is reparameterized as ``(beta2, delta, beta3, beta4)`` with
     ``delta = beta1 - beta2 >= 0``, which enforces a non-decreasing curve
-    by construction.  A fixed grid of ``n_starts`` starting points derived
+    by construction.  A fixed grid of 16 starting points derived
     from data quantiles is polished with bounded trust-region least
     squares; the best residual wins, ties going to the earlier start, so
     the fit is deterministic.  Starts stop early once a start reaches a
     numerically exact fit.
     """
-    if len(curve.points) < 4:
-        raise TooFewPoints(f"logistic fit needs >= 4 points, got {len(curve.points)}")
+    if len(curve.points) < MIN_FIT_POINTS:
+        raise TooFewPoints(f"logistic fit needs >= {MIN_FIT_POINTS} points, got {len(curve.points)}")
     x = curve.bitrates
     y = curve.qualities
 
@@ -133,18 +138,10 @@ def fit_logistic(curve: RDCurve, n_starts: int = 16) -> LogisticParams:
     b3_starts = (b3_lo + 0.25 * (b3_hi - b3_lo), b3_lo + 0.75 * (b3_hi - b3_lo))
     b4_starts = (max(xspan / 4.0, 1.0), max(r_min / 4.0, 1.0))
 
-    starts = []
-    for b2 in b2_starts:
-        for d in delta_starts:
-            for b3 in b3_starts:
-                for b4 in b4_starts:
-                    starts.append((b2, d, b3, b4))
-    starts = starts[:n_starts]
-
     exact_rss = 1e-16 * max(1.0, float(np.sum(y * y)))
     best = None
     best_rss = np.inf
-    for p0 in starts:
+    for p0 in itertools.product(b2_starts, delta_starts, b3_starts, b4_starts):
         p0 = np.clip(np.asarray(p0, dtype=float), lower, upper)
         sol = least_squares(
             _logistic_residuals,

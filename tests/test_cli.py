@@ -73,6 +73,16 @@ class TestExtractFeatures:
         assert "NoIdrFound" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("gop_seconds", ["inf", "-inf", "nan", "1e308"])
+    def test_non_finite_gop_length_exits_2(self, tmp_path, capsys, gop_seconds):
+        stream = tmp_path / "clip.264"
+        stream.write_bytes(simple_gop_stream(n_gops=1, p_per_gop=29, nal_bytes_each=100))
+        out = tmp_path / "features.csv"
+        assert run_cli("extract-features", stream, "--fps", 30, f"--gop-seconds={gop_seconds}", "--out", out) == 2
+        err = capsys.readouterr().err
+        assert "error: MalformedSyntax" in err
+        assert "Traceback" not in err
+
     def test_empty_file(self, tmp_path, capsys):
         stream = tmp_path / "empty.264"
         stream.write_bytes(b"")
@@ -210,6 +220,20 @@ class TestSimulate:
         cli_doc = json.loads((out / "trace.json").read_text())
         assert cli_doc == json.loads(json.dumps(io.trace_to_dict(trace)))
 
+    @pytest.mark.parametrize("granularity", [25, 10**6, 10**21])
+    def test_window_wider_than_log_is_one_window(self, tmp_path, granularity):
+        # The fixture log has 24 GOPs.
+        def selections(g):
+            out = tmp_path / f"sim{g}"
+            assert run_cli("simulate", "--log", DATA / "synthetic_quality_log.csv",
+                           "--ladder", DATA / "dynamic_ladder.json", "--granularity", g, "--out", out) == 0
+            return json.loads((out / "trace.json").read_text())
+
+        whole, wider = selections(24), selections(granularity)
+        assert wider.pop("granularity_gops") == granularity
+        whole.pop("granularity_gops")
+        assert wider == whole
+
 
 class TestReport:
     def test_report_from_traces(self, tmp_path):
@@ -290,6 +314,26 @@ class TestModelCommands:
         feats = tmp_path / "features.csv"
         write_feature_csv(feats)
         assert run_cli(command, "--features", feats, *option, "--out", tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert "error: InvalidHyperparameter" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("cv", "--folds", "1"),
+            ("cv", "--runs", "0"),
+            ("gfs", "--folds", "1"),
+            ("gfs", "--runs", "0"),
+            ("gfs", "--max-features", "-1"),
+            ("gfs", "--epsilon", "nan"),
+        ],
+        ids=" ".join,
+    )
+    def test_bad_protocol_option_exits_2(self, tmp_path, capsys, argv):
+        feats = tmp_path / "features.csv"
+        write_feature_csv(feats, n_contents=6, per_content=5)  # enough contents for the default 5 folds
+        assert run_cli(*argv, "--features", feats, "--out", tmp_path / "out") == 2
         err = capsys.readouterr().err
         assert "error: InvalidHyperparameter" in err
         assert "Traceback" not in err

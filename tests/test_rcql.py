@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drskit.errors import DegenerateInput, MismatchedPair, NoComparablePairs
+from drskit.errors import DegenerateInput, InvalidRange, MismatchedPair, NoComparablePairs, NotEvaluable
 from drskit.rcql import (
     ScoredPoint,
     build_report,
@@ -70,6 +70,13 @@ class TestRcqlS:
         oracle = float(np.trapezoid(np.abs(eval_logistic(hi, grid) - eval_logistic(lo, grid)), grid))
         assert got == pytest.approx(oracle, rel=1e-4)
 
+    def test_not_a_curve(self):
+        lo = LogisticParams(8, 2, 600, 400, 0.0)
+        with pytest.raises(NotEvaluable):
+            rcql_s(lo, object(), 2000.0, 3000.0)
+        with pytest.raises(NotEvaluable):
+            rcql_s(object(), lo, 2000.0, 3000.0)
+
     def test_symmetric_in_interval_order(self):
         lo = LogisticParams(8, 2, 600, 400, 0.0)
         hi = LogisticParams(9, 1, 900, 500, 0.0)
@@ -134,7 +141,14 @@ class TestCrossingsBetween:
         got = rcql._crossings_between(flat, wavy, 2000.0, 9000.0)
         expected = loop_crossings_between(flat, wavy, 2000.0, 9000.0, counting(expected_calls))
         assert got == expected
-        assert got_calls == expected_calls
+        # The loop's first search only probed the same grid it re-scans.
+        assert expected_calls[0] == ((2000.0, 9000.0), {"scan_samples": 4096})
+        assert got_calls == expected_calls[1:]
+
+    @pytest.mark.parametrize("a, b", [(0.0, 9000.0), (-5.0, 9000.0), (2000.0, float("inf"))])
+    def test_invalid_range(self, a, b):
+        with pytest.raises(InvalidRange):
+            rcql._crossings_between(np.sin, np.cos, a, b)
 
 
 class TestRcqlAvg:
