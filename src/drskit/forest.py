@@ -4,6 +4,12 @@ Plain CART regression: axis-aligned splits chosen by variance reduction,
 bootstrap resampling per tree, and a fresh feature subsample at every
 split.  All randomness flows from one integer seed through spawned
 per-tree generators, so training is reproducible bit for bit.
+
+Trees are grown in lockstep (``fit_forests``): each round, every
+unfinished tree draws the features of its next node in its own
+depth-first order, and the nodes of all trees, of any number of forests,
+are searched together in batches of similar size.  Each tree comes out
+exactly as a node-by-node search would grow it.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ import numpy as np
 
 from .errors import EmptyTrainingSet, InvalidHyperparameter, SchemaMismatch
 
-__all__ = ["TreeParams", "RegressionTree", "RegressionForest"]
+__all__ = ["TreeParams", "RegressionTree", "RegressionForest", "fit_forests"]
 
 _LEAF = -1
 
@@ -61,98 +67,11 @@ class RegressionTree:
         self.gains: np.ndarray | None = None
 
     def fit(self, X: np.ndarray, y: np.ndarray, rng: np.random.Generator, params: TreeParams) -> "RegressionTree":
+        """Grow the tree on every row of X (the tree's own sample)."""
+        X = np.asarray(X, dtype=float)
         n, d = X.shape
-        mtry = params.mtry(d)
-        feature, threshold, left, right, value = [], [], [], [], []
-        gains = np.zeros(d)
-
-        # Depth-first, children pushed right-then-left so the left child
-        # is processed next; node ids are assigned in visit order.
-        stack = [(np.arange(n), 0, -1, False)]
-        while stack:
-            idx, depth, parent, is_right = stack.pop()
-            node_id = len(feature)
-            if parent >= 0:
-                (right if is_right else left)[parent] = node_id
-
-            y_node = y[idx]
-            total1 = y_node.sum()
-            mean = float(total1 / idx.size)  # the same bits as y_node.mean()
-            split = None
-            if (params.max_depth is None or depth < params.max_depth) and idx.size >= 2 * params.min_leaf:
-                split = self._best_split(X, y_node, total1, idx, rng, mtry, params.min_leaf)
-
-            if split is None:
-                feature.append(_LEAF)
-                threshold.append(0.0)
-                left.append(_LEAF)
-                right.append(_LEAF)
-                value.append(mean)
-                continue
-
-            f, thr, gain, left_idx, right_idx = split
-            gains[f] += gain
-            feature.append(f)
-            threshold.append(thr)
-            left.append(_LEAF)
-            right.append(_LEAF)
-            value.append(mean)
-            stack.append((right_idx, depth + 1, node_id, True))
-            stack.append((left_idx, depth + 1, node_id, False))
-
-        self.feature = np.asarray(feature, dtype=np.int64)
-        self.threshold = np.asarray(threshold, dtype=float)
-        self.left = np.asarray(left, dtype=np.int64)
-        self.right = np.asarray(right, dtype=np.int64)
-        self.value = np.asarray(value, dtype=float)
-        self.gains = gains
+        _grow(X, [_Growth(self, np.arange(n), np.asarray(y, dtype=float), np.arange(d), rng, params)])
         return self
-
-    @staticmethod
-    def _best_split(X, y_node, total1, idx, rng, mtry, min_leaf):
-        """Lowest-cost cut over the node's feature draw, searched for all
-        drawn features at once (one column each).  Ties go to the first
-        cut within a feature, then to the first feature drawn."""
-        n = idx.size
-        total2 = float(y_node @ y_node)
-        parent_sse = total2 - total1 * total1 / n
-        if parent_sse <= 0.0:
-            return None
-
-        d = X.shape[1]
-        feats = rng.choice(d, size=mtry, replace=False) if mtry < d else np.arange(d)
-        cols = np.arange(feats.size)
-
-        V = X[idx[:, None], feats]
-        order = V.argsort(axis=0, kind="stable")
-        sv = V[order, cols]
-        sy = y_node[order]
-        # Cut p puts sorted rows 0..p on the left; both children keep at
-        # least min_leaf samples.  A cut is valid only between distinct
-        # values, so NaN (sorted last) never bounds a valid cut.
-        lo, hi = min_leaf - 1, n - min_leaf
-        c1 = sy[:hi].cumsum(axis=0)[lo:]
-        c2 = (sy[:hi] * sy[:hi]).cumsum(axis=0)[lo:]
-        nl = np.arange(lo + 1.0, hi + 1.0)[:, None]
-        nr = n - nl
-        cost = (c2 - c1**2 / nl) + ((total2 - c2) - (total1 - c1) ** 2 / nr)
-        cost[~(sv[lo:hi] < sv[lo + 1 : hi + 1])] = np.inf
-
-        ks = cost.argmin(axis=0)
-        best = cost[ks, cols]
-        j = int(best.argmin())
-        if best[j] == np.inf:
-            return None
-        gain = parent_sse - float(best[j])
-        if gain <= 0.0:
-            return None
-        cut = lo + int(ks[j])
-        thr = 0.5 * (sv[cut, j] + sv[cut + 1, j])
-        # Rows sorted at or before the cut go left.  Masking keeps idx
-        # order, and every index list starts as arange(n), so the
-        # children's index lists stay ascending.
-        go_left = V[:, j] <= sv[cut, j]
-        return int(feats[j]), thr, gain, idx[go_left], idx[~go_left]
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         node = np.zeros(X.shape[0], dtype=np.int64)
@@ -205,15 +124,7 @@ class RegressionForest:
             raise SchemaMismatch(f"X/y shapes do not align: {X.shape} vs {y.shape}")
         if X.shape[0] == 0:
             raise EmptyTrainingSet("no training samples")
-        self.n_features = X.shape[1]
-        n = X.shape[0]
-
-        self.trees = []
-        for seq in np.random.SeedSequence(self.seed).spawn(self.params.n_trees):
-            rng = np.random.default_rng(seq)
-            idx = rng.integers(0, n, size=n) if self.params.bootstrap else np.arange(n)
-            self.trees.append(RegressionTree().fit(X[idx], y[idx], rng, self.params))
-        self._concat_trees()
+        fit_forests(X, [(self, np.arange(X.shape[0]), np.arange(X.shape[1]), y)])
         return self
 
     def _concat_trees(self) -> None:
@@ -315,3 +226,279 @@ class RegressionForest:
         forest.trees = [RegressionTree.from_dict(t, forest.n_features) for t in d["trees"]]
         forest._concat_trees()
         return forest
+
+
+def fit_forests(X: np.ndarray, jobs) -> None:
+    """Fit several forests on parts of one matrix, growing their trees
+    together.
+
+    Each job is ``(forest, rows, cols, y)``: distinct rows and columns of
+    X, and the labels of those rows.  The forest comes out as
+    ``forest.fit(X[np.ix_(rows, cols)], y)`` would fit it, bit for bit,
+    but its trees index X through their bootstrap samples instead of
+    copying it.  Trees are grown in lockstep, at most ``_LOCKSTEP_ROWS``
+    sample rows at a time (see ``_grow``).
+    """
+    growths, n_rows = [], 0
+    for forest, rows, cols, y in jobs:
+        params = forest.params
+        n = rows.size
+        # Labels by row of X; a bootstrap sample repeats rows, not labels.
+        labels = np.zeros(X.shape[0])
+        labels[rows] = y
+        forest.n_features = cols.size
+        forest.trees = []
+        for seq in np.random.SeedSequence(forest.seed).spawn(params.n_trees):
+            rng = np.random.default_rng(seq)
+            sample = rows[rng.integers(0, n, size=n)] if params.bootstrap else rows
+            tree = RegressionTree()
+            forest.trees.append(tree)
+            growths.append(_Growth(tree, sample, labels, cols, rng, params))
+            n_rows += n
+            if n_rows >= _LOCKSTEP_ROWS:
+                _grow(X, growths)
+                growths, n_rows = [], 0
+    _grow(X, growths)
+    for forest, *_ in jobs:
+        forest._concat_trees()
+
+
+# Sample rows (summed over trees) grown in lockstep at once: bounds the
+# samples and index lists that unfinished trees hold.
+_LOCKSTEP_ROWS = 1 << 20
+# Padded (node, drawn feature, row) elements of one batched split search.
+_BATCH_ELEMENTS = 1 << 16
+
+_add_reduce = np.add.reduce
+
+
+class _Growth:
+    """A tree being grown: its sample (as rows of the shared matrix), the
+    labels by row, its columns of the matrix, its generator and the
+    depth-first stack of nodes still to visit."""
+
+    __slots__ = (
+        "tree", "labels", "cols", "col_offset", "rng", "d", "mtry", "all_features", "max_depth", "min_leaf",
+        "stack", "feature", "threshold", "left", "right", "value", "gains",
+    )
+
+    def __init__(self, tree, sample, labels, cols, rng, params):
+        self.tree = tree
+        self.labels = labels
+        self.cols = cols
+        self.col_offset = 0
+        self.rng = rng
+        self.d = cols.size
+        self.mtry = params.mtry(self.d)
+        self.all_features = np.arange(self.d)
+        self.max_depth = np.inf if params.max_depth is None else params.max_depth
+        self.min_leaf = params.min_leaf
+        self.stack = [(sample, 0, -1, False)]
+        self.feature, self.threshold, self.left, self.right, self.value = [], [], [], [], []
+        self.gains = np.zeros(self.d)
+
+    def next_search(self):
+        """Visit nodes in depth-first preorder, left child first, up to the
+        next one worth a split search, and return that search: (growth,
+        node id, depth, rows, labels, label sum, label sum of squares,
+        parent SSE, drawn features).  None when the tree is finished."""
+        stack, labels, value = self.stack, self.labels, self.value
+        while stack:
+            rows, depth, parent, is_right = stack.pop()
+            node_id = len(value)
+            if parent >= 0:
+                (self.right if is_right else self.left)[parent] = node_id
+            n = rows.size
+            y_node = labels[rows]
+            total1 = _add_reduce(y_node)
+            value.append(float(total1 / n))  # the same bits as y_node.mean()
+            self.feature.append(_LEAF)
+            self.threshold.append(0.0)
+            self.left.append(_LEAF)
+            self.right.append(_LEAF)
+            if depth < self.max_depth and n >= 2 * self.min_leaf:
+                total2 = float(y_node @ y_node)
+                parent_sse = total2 - total1 * total1 / n
+                if parent_sse > 0.0:
+                    # The generator draws once per searched node, in preorder.
+                    # A draw of one feature without a size is the same draw
+                    # as with size=1, and takes half the time.
+                    if self.mtry == 1 < self.d:
+                        feats = (self.rng.choice(self.d, replace=False),)
+                    elif self.mtry < self.d:
+                        feats = self.rng.choice(self.d, size=self.mtry, replace=False)
+                    else:
+                        feats = self.all_features
+                    return (self, node_id, depth, rows, y_node, total1, total2, parent_sse, feats)
+        t = self.tree
+        t.feature = np.asarray(self.feature, dtype=np.int64)
+        t.threshold = np.asarray(self.threshold, dtype=float)
+        t.left = np.asarray(self.left, dtype=np.int64)
+        t.right = np.asarray(self.right, dtype=np.int64)
+        t.value = np.asarray(self.value, dtype=float)
+        t.gains = self.gains
+        return None
+
+
+def _grow(X: np.ndarray, growths: list) -> None:
+    """Grow independent trees in lockstep: each unfinished tree waits at
+    its next node worth a search, and nodes of similar size are searched
+    together, in batches."""
+    if not growths:
+        return
+    offsets = np.cumsum([0] + [g.d for g in growths])
+    for g, offset in zip(growths, offsets.tolist()):
+        g.col_offset = offset
+    shared = _Shared(X, np.concatenate([g.cols for g in growths]), max(g.stack[0][0].size for g in growths))
+    advanced = growths
+    while advanced:
+        # Each tree's next search, by (drawn features, min_leaf, size
+        # class); a batch pads its nodes to at most twice their size.
+        pending: dict[tuple, list] = {}
+        for g in advanced:
+            s = g.next_search()
+            if s is not None:
+                pending.setdefault((g.mtry, g.min_leaf, s[3].size.bit_length()), []).append(s)
+        advanced = []
+        for (mtry, _, size_class), batch in pending.items():
+            step = max(1, _BATCH_ELEMENTS // (mtry << size_class))
+            for start in range(0, len(batch), step):
+                _search(shared, batch[start : start + step])
+            advanced += [s[0] for s in batch]
+
+
+class _Shared:
+    """What every batched search reads: the matrix, the matrix columns of
+    every tree (``colmap``, at each tree's ``col_offset``), and each
+    value's rank within its column (``_dense_ranks``), column-major, with
+    one extra row for padding that ranks like NaN."""
+
+    def __init__(self, X: np.ndarray, colmap: np.ndarray, widest: int):
+        self.X = np.ascontiguousarray(X, dtype=float)
+        self.colmap = colmap
+        n = X.shape[0]
+        self.last = n  # the rank of NaN and of the padding row, whose index is n
+        # Sort keys are (rank << shift) | position, shift the bits of a
+        # position in the widest node.
+        fits = (n + 1) << max(1, (widest - 1).bit_length()) < 2**31
+        self.dtype = np.int32 if fits else np.int64
+        ranks = np.full((X.shape[1], n + 1), n, dtype=self.dtype)
+        ranks[:, :n] = _dense_ranks(self.X).T
+        self.ranks = ranks.ravel()
+        self.has_nan = bool(np.isnan(self.X).any())
+
+
+def _dense_ranks(X: np.ndarray) -> np.ndarray:
+    """Each value's rank among the distinct values of its column, so that
+    ranks order rows as their values do (-0.0 and 0.0 share one); NaN
+    ranks last, as X.shape[0]."""
+    order = X.argsort(axis=0)
+    sx = np.take_along_axis(X, order, axis=0)
+    rise = np.zeros(X.shape, dtype=np.int64)
+    rise[1:] = sx[1:] != sx[:-1]
+    ranks = np.empty(X.shape, dtype=np.int64)
+    np.put_along_axis(ranks, order, rise.cumsum(axis=0), axis=0)
+    ranks[np.isnan(X)] = X.shape[0]
+    return ranks
+
+
+def _search(shared: _Shared, batch: list) -> None:
+    """Split the batch's nodes (all with the same number of drawn features
+    and the same min_leaf) by their lowest-cost cuts, searched at once.
+
+    Each (node, feature) row is padded to the widest node and sorted by
+    the key (rank of the value, position in the node), which orders the
+    node's rows as a stable sort of its values would: NaN and then the
+    padding go last, so the sequential prefix sums and the costs of the
+    node's cuts have the bits of an unpadded search.  The first minimum
+    over (feature, cut) in row-major order is the first minimum within
+    each feature, then the first feature drawn.
+    """
+    b = len(batch)
+    min_leaf = batch[0][0].min_leaf
+    sizes = np.array([s[3].size for s in batch])
+    width = int(sizes.max())
+    real = np.arange(width) < sizes[:, None]
+    last = shared.last
+    rows = np.full((b, width), last, dtype=np.intp)
+    rows[real] = np.concatenate([s[3] for s in batch])
+    y = np.zeros((b, width))
+    y[real] = np.concatenate([s[4] for s in batch])
+    offsets = np.array([s[0].col_offset for s in batch])
+    cols = shared.colmap[offsets[:, None] + np.array([s[8] for s in batch])]
+
+    shift = max(1, (width - 1).bit_length())
+    key = shared.ranks.take(cols[:, :, None] * (last + 1) + rows[:, None, :])
+    key <<= shift
+    key |= np.arange(width, dtype=key.dtype)
+    key.sort(axis=-1)
+    mask = (1 << shift) - 1
+
+    # Cut p puts sorted rows 0..p on the left, and both children keep at
+    # least min_leaf rows: p runs from lo to below hi, for each node.
+    lo, hi = min_leaf - 1, width - min_leaf
+    position = np.bitwise_and(key[..., :hi], mask, dtype=np.intp)
+    position += (np.arange(b) * width)[:, None, None]
+    sy = y.ravel().take(position)
+    c1 = sy.cumsum(axis=-1)[..., lo:]
+    c2 = np.multiply(sy, sy, out=sy).cumsum(axis=-1)[..., lo:]
+    # The cost keeps the operation order
+    # (c2 - c1**2 / nl) + ((total2 - c2) - (total1 - c1)**2 / nr).
+    nl = np.arange(lo + 1.0, hi + 1.0)
+    # nr < 1 only past a node's own last cut; the clamp keeps those
+    # discarded costs finite.
+    nr = np.maximum(sizes[:, None, None] - nl, 1.0)
+    total1 = np.array([s[5] for s in batch])[:, None, None]
+    total2 = np.array([s[6] for s in batch])[:, None, None]
+    right = np.subtract(total1, c1)
+    np.square(right, out=right)
+    right /= nr
+    cost = np.square(c1)
+    cost /= nl
+    np.subtract(c2, cost, out=cost)
+    c2 = np.subtract(total2, c2)
+    c2 -= right
+    cost += c2
+    # A cut is valid only between distinct values, never next to NaN, and
+    # within the node's own window.
+    sorted_rank = key >> shift
+    above = sorted_rank[..., lo + 1 : hi + 1]
+    invalid = sorted_rank[..., lo:hi] >= above
+    if shared.has_nan:
+        invalid |= above == last
+    invalid |= np.arange(lo, hi) >= (sizes - min_leaf)[:, None, None]
+    np.copyto(cost, np.inf, where=invalid)
+
+    flat = cost.reshape(b, -1)
+    k = flat.argmin(axis=1)
+    node = np.arange(b)
+    best = flat[node, k]
+    j, p = np.divmod(k, hi - lo)
+    p += lo
+    order = key[node, j] & mask
+    cut_rows = rows[node[:, None], order[node[:, None], p[:, None] + [0, 1]]]
+    X = shared.X
+    cut_values = X[cut_rows, cols[node, j][:, None]]
+    threshold = 0.5 * (cut_values[:, 0] + cut_values[:, 1])
+    # Rows sorted at or before the cut go left.  Masking keeps each node's
+    # row order, and that order fixes the order of the children's sums.
+    go_left = np.zeros((b, width), dtype=bool)
+    go_left[node[:, None], order] = np.arange(width) <= p[:, None]
+    left_rows = rows[go_left]
+    right_rows = rows[real & ~go_left]
+    left_end = np.cumsum(go_left.sum(axis=1)).tolist()
+    right_end = (np.cumsum(sizes) - left_end).tolist()
+
+    for i, (s, best_cost, f, thr) in enumerate(zip(batch, best.tolist(), j.tolist(), threshold.tolist())):
+        if best_cost == np.inf:
+            continue
+        g, node_id, depth, _, _, _, _, parent_sse, feats = s
+        gain = parent_sse - best_cost
+        if gain <= 0.0:
+            continue
+        f = int(feats[f])
+        g.gains[f] += gain
+        g.feature[node_id] = f
+        g.threshold[node_id] = thr
+        g.stack.append((right_rows[right_end[i - 1] if i else 0 : right_end[i]], depth + 1, node_id, True))
+        g.stack.append((left_rows[left_end[i - 1] if i else 0 : left_end[i]], depth + 1, node_id, False))

@@ -170,6 +170,8 @@ class LadderProblem:
         weights: dict[float, float] | None = None,
         candidates=None,
     ) -> "LadderProblem":
+        if k_max < 0:
+            raise InputError(f"k_max must be >= 0, got {k_max}")
         if candidates is None:
             cands = [(b, res) for b in log.rungs for res in log.resolutions]
         else:

@@ -14,8 +14,8 @@ import numpy as np
 
 from .corr import spearman
 from .errors import InsufficientContents, InvalidHyperparameter, InvariantError, SchemaMismatch
-from .forest import TreeParams
-from .vqm import DEFAULT_BASE_FEATURES, FeatureSchema, GopRecord, _labeled_matrix, _train_matrix, predict_batch
+from .forest import TreeParams, fit_forests
+from .vqm import DEFAULT_BASE_FEATURES, FeatureSchema, GopRecord, _fit_base, _labeled_matrix, predict_batch
 
 __all__ = [
     "CvConfig",
@@ -81,11 +81,16 @@ def cross_validate(
     scored on the held-out one.  Returns every (run, fold, content) row
     plus the median-then-mean aggregate for SROCC and RMSE.
     """
-    return _cross_validate(*_labeled_matrix(records, schema), schema, cv, hyperparams, base_features)
+    X, y, content_ids = _labeled_matrix(records, schema)
+    candidate = (np.arange(len(schema)), schema)
+    return _cross_validate(X, y, content_ids, [candidate], cv, hyperparams, base_features)[0]
 
 
-def _cross_validate(X, y, content_ids, schema, cv, hyperparams, base_features) -> CvResult:
-    """``cross_validate`` on the rows ``_labeled_matrix`` gathered."""
+def _cross_validate(X, y, content_ids, candidates, cv, hyperparams, base_features) -> list[CvResult]:
+    """``cross_validate`` on the rows ``_labeled_matrix`` gathered, once for
+    each candidate ``(cols, schema)``: the model sees only those columns of
+    X, named by that schema.  Each run fits every candidate's fold forests
+    together, and no more, so memory stays bounded by one run."""
     contents = sorted(set(content_ids))
     if len(contents) < cv.folds:
         raise InsufficientContents(f"{len(contents)} contents cannot fill {cv.folds} folds")
@@ -96,10 +101,11 @@ def _cross_validate(X, y, content_ids, schema, cv, hyperparams, base_features) -
     grouped = np.argsort(codes, kind="stable")
     rows_of = [np.flatnonzero(codes == k) for k in range(len(contents))]
 
-    rows: list[CvRow] = []
+    rows: list[list[CvRow]] = [[] for _ in candidates]
     for run in range(cv.runs):
         rng = np.random.default_rng(np.random.SeedSequence((cv.seed, run)))
         perm = rng.permutation(len(contents))
+        jobs, tests = [], []
         for fold_i, group in enumerate(np.array_split(perm, cv.folds)):
             train_rows = grouped[~np.isin(codes[grouped], group)]
             if np.isin(group, codes[train_rows]).any():
@@ -107,14 +113,25 @@ def _cross_validate(X, y, content_ids, schema, cv, hyperparams, base_features) -
             if train_rows.size == 0:
                 continue
             train_seed = int(np.random.SeedSequence((cv.seed, run, fold_i)).generate_state(1)[0])
-            model = _train_matrix(X[train_rows], y[train_rows], schema, hyperparams, train_seed, base_features)
+            for c, (cols, schema) in enumerate(candidates):
+                model, residual = _fit_base(
+                    X[np.ix_(train_rows, cols)], y[train_rows], schema, hyperparams, train_seed, base_features
+                )
+                jobs.append((model.forest, train_rows, cols, residual))
+                tests.append((c, fold_i, group, model))
+        fit_forests(X, jobs)
+        for c, fold_i, group, model in tests:
             for k in np.sort(group):
                 test = rows_of[k]
                 labels = y[test]
-                preds = predict_batch(model, X[test])
+                preds = predict_batch(model, X[np.ix_(test, candidates[c][0])])
                 rmse = float(np.sqrt(np.mean((preds - labels) ** 2)))
-                rows.append(CvRow(run, fold_i, contents[k], test.size, _content_srocc(labels, preds), rmse))
+                rows[c].append(CvRow(run, fold_i, contents[k], test.size, _content_srocc(labels, preds), rmse))
+    return [_summarize(tuple(r), contents) for r in rows]
 
+
+def _summarize(rows: tuple[CvRow, ...], contents: list[str]) -> CvResult:
+    """Per-content medians over runs, then their mean across contents."""
     per_content: dict[str, dict[str, float]] = {}
     for c in contents:
         c_rows = [r for r in rows if r.content_id == c]
@@ -130,7 +147,7 @@ def _cross_validate(X, y, content_ids, schema, cv, hyperparams, base_features) -
         "srocc": float(np.mean(srocc_meds)) if srocc_meds else float("nan"),
         "rmse": float(np.mean([v["rmse"] for v in per_content.values()])),
     }
-    return CvResult(tuple(rows), per_content, aggregate)
+    return CvResult(rows, per_content, aggregate)
 
 
 @dataclass(frozen=True)
@@ -184,12 +201,13 @@ def greedy_feature_selection(
 
     sign = 1.0 if objective == "srocc" else -1.0
 
-    def score_for(names: tuple[str, ...]) -> float:
-        cols = [candidate_schema.index(n) for n in names]
-        sub = candidate_schema.subset(names)
-        result = _cross_validate(X[:, cols], y, content_ids, sub, cv, hyperparams, base_features)
-        val = result.aggregate[objective]
-        return float("-inf") if np.isnan(val) else sign * val
+    def scores(name_sets: list[tuple[str, ...]]) -> list[float]:
+        candidates = [
+            (np.array([candidate_schema.index(n) for n in names]), candidate_schema.subset(names)) for names in name_sets
+        ]
+        results = _cross_validate(X, y, content_ids, candidates, cv, hyperparams, base_features)
+        vals = [result.aggregate[objective] for result in results]
+        return [float("-inf") if np.isnan(val) else sign * val for val in vals]
 
     selected: list[str] = []
     steps: list[GfsStep] = []
@@ -199,7 +217,7 @@ def greedy_feature_selection(
         remaining = [n for n in candidate_schema.names if n not in selected]
         if not remaining:
             break
-        cand_scores = {c: score_for(tuple(selected) + (c,)) for c in remaining}
+        cand_scores = dict(zip(remaining, scores([tuple(selected) + (c,) for c in remaining])))
         best_cand = max(remaining, key=lambda c: cand_scores[c])  # ties -> earliest in schema order
         improvement = cand_scores[best_cand] - best_score
         if not improvement > epsilon:

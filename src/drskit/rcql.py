@@ -140,6 +140,13 @@ def rcql_avg(rcql_s_value: float, subj_xover_kbps: float, obj_xover_kbps: float)
     return float(rcql_s_value) / width
 
 
+def _check_tie_eps(tie_eps: float) -> None:
+    # NaN would make every pair a preference, and a negative value every
+    # exact tie.
+    if not tie_eps >= 0.0:
+        raise InvalidRange(f"tie_eps must be >= 0, got {tie_eps}")
+
+
 def ranking_accuracy(
     points: list[ScoredPoint],
     tie_eps: float = DEFAULT_TIE_EPS,
@@ -155,6 +162,7 @@ def ranking_accuracy(
     misranked pairs (0 if there are none).  An objective tie never counts
     as concordant.
     """
+    _check_tie_eps(tie_eps)
     if resolutions is None:
         seen = sorted({p.resolution for p in points}, key=lambda r: r[0] * r[1])
         if len(seen) != 2:
@@ -275,6 +283,7 @@ def build_report(
     Contents missing a resolution, with too few samples, or without an
     overlapping bitrate range are skipped and listed in the report.
     """
+    _check_tie_eps(tie_eps)
     by_content: dict[str, dict[tuple[int, int], list[ScoredPoint]]] = defaultdict(lambda: defaultdict(list))
     seen: dict[tuple[str, tuple[int, int], float], ScoredPoint] = {}
     for p in points:

@@ -162,7 +162,16 @@ def train(
 
 
 def _train_matrix(X, y, schema, hyperparams, seed, base_features) -> ForestModel:
-    """``train`` on the rows ``_labeled_matrix`` gathered (or a subset)."""
+    """``train`` on the rows ``_labeled_matrix`` gathered."""
+    model, residual = _fit_base(X, y, schema, hyperparams, seed, base_features)
+    model.forest.fit(X, residual)
+    return model
+
+
+def _fit_base(X, y, schema, hyperparams, seed, base_features) -> tuple[ForestModel, np.ndarray]:
+    """The model of ``_train_matrix`` with its affine base fitted and its
+    forest not yet fitted, and the residual that forest is to learn; a
+    caller may fit many such forests together (``forest.fit_forests``)."""
     if y.size == 0:
         raise EmptyTrainingSet("no labeled records to train on")
     base_names = tuple(n for n in base_features if n in schema.names)
@@ -184,9 +193,7 @@ def _train_matrix(X, y, schema, hyperparams, seed, base_features) -> ForestModel
         forest=RegressionForest(params=hyperparams or TreeParams(), seed=seed),
         seed=seed,
     )
-    residual = y - model.base_predict(X)
-    model.forest.fit(X, residual)
-    return model
+    return model, y - model.base_predict(X)
 
 
 def predict(model: ForestModel, features) -> float:

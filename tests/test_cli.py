@@ -115,6 +115,15 @@ class TestBenchRcql:
         lib_doc = build_report(io.load_scored_points(points_csv)).to_dict()
         assert cli_doc == json.loads(json.dumps(lib_doc))
 
+    @pytest.mark.parametrize("tie_eps", ["nan", "-1", "-0.5"])
+    def test_bad_tie_eps_exits_2(self, tmp_path, capsys, tie_eps):
+        points_csv = tmp_path / "scores.csv"
+        write_scored_points(points_csv)
+        assert run_cli("bench-rcql", "--scored-points", points_csv, "--tie-eps", tie_eps, "--out", tmp_path / "o") == 2
+        err = capsys.readouterr().err
+        assert "error: InvalidRange" in err
+        assert "Traceback" not in err
+
     def test_schema_error_reports_row(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("content_id,resolution,bitrate_kbps,subjective_jod,objective_score\n" "a,1280x720,xxx,1.0,1.0\n")
@@ -183,6 +192,15 @@ class TestSelectLadder:
         )
         assert code == 3
         assert "InfeasibleK" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("k, code, error", [(-3, 2, "InputError"), (-1, 2, "InputError"), (0, 3, "InfeasibleK")])
+    def test_k_below_the_rung_count_exit_code(self, tmp_path, capsys, k, code, error):
+        # A negative k is a bad option; a k >= 0 that cannot cover every
+        # rung is an infeasible selection.
+        assert run_cli("select-ladder", "--log", DATA / "synthetic_quality_log.csv", "--k", k, "--out", tmp_path) == code
+        err = capsys.readouterr().err
+        assert f"error: {error}" in err
+        assert "Traceback" not in err
 
 
 class TestSimulate:

@@ -13,7 +13,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drskit.forest import RegressionForest, TreeParams
+from drskit.forest import RegressionForest, TreeParams, fit_forests
 
 _LEAF = -1
 
@@ -207,3 +207,66 @@ def test_forest_matches_per_feature_oracle(case):
     assert RegressionForest.from_dict(forest.to_dict()).predict(Q).tobytes() == expected
     for i in (0, -2, -1):  # one row at a time, as vqm.predict calls it
         assert forest.predict(Q[[i]]).tobytes() == oracle_predict(oracle, Q[[i]]).tobytes()
+
+
+@st.composite
+def forest_batches(draw):
+    """One shared matrix (NaN, inf, -0.0 and 0.0, repeated rows) and 1-5
+    forests on distinct rows and columns of it, in any order, each with
+    its own labels, seed and parameters."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_rows, d = draw(st.integers(1, 120)), draw(st.integers(1, 8))
+    X = rng.integers(-2, 3, (n_rows, d)).astype(float) if draw(st.booleans()) else rng.normal(size=(n_rows, d))
+    X[rng.random((n_rows, d)) < 0.1] = -0.0
+    if draw(st.booleans()):
+        X[rng.random((n_rows, d)) < 0.15] = np.nan
+    if draw(st.booleans()):
+        X[rng.random((n_rows, d)) < 0.05] = np.inf
+    if draw(st.booleans()):
+        X = X[rng.integers(0, max(1, n_rows // 2), n_rows)]
+    jobs = []
+    for _ in range(draw(st.integers(1, 5))):
+        rows = rng.permutation(n_rows)[: draw(st.integers(1, n_rows))]
+        cols = rng.permutation(d)[: draw(st.integers(1, d))]
+        y = rng.integers(0, 4, rows.size).astype(float) if draw(st.booleans()) else rng.normal(size=rows.size)
+        params = TreeParams(
+            n_trees=draw(st.integers(1, 6)),
+            max_depth=draw(st.sampled_from([None, 0, 2, 6])),
+            min_leaf=draw(st.integers(1, 5)),
+            feature_subsample=draw(st.one_of(st.sampled_from(["sqrt", "all"]), st.integers(1, 4), st.floats(0.1, 1.0))),
+            bootstrap=draw(st.booleans()),
+        )
+        jobs.append((RegressionForest(params=params, seed=draw(st.integers(0, 2**32 - 1))), rows, cols, y))
+    return X, jobs
+
+
+@settings(max_examples=150, deadline=None)
+@given(forest_batches())
+def test_forests_fitted_together_match_each_fitted_alone(case):
+    X, jobs = case
+    fit_forests(X, jobs)
+    Q = np.concatenate([X, np.full((1, X.shape[1]), np.nan)])
+    for forest, rows, cols, y in jobs:
+        alone = RegressionForest(params=forest.params, seed=forest.seed).fit(X[np.ix_(rows, cols)], y)
+        oracle = oracle_fit(X[np.ix_(rows, cols)], y, forest.params.n_trees, forest.params, forest.seed)
+        assert json.dumps(forest.to_dict()) == json.dumps(alone.to_dict())
+        assert json.dumps(forest.to_dict()["trees"]) == json.dumps([t.to_dict() for t in oracle])
+        for tree, other in zip(forest.trees, alone.trees):
+            assert tree.gains.tobytes() == other.gains.tobytes()
+        assert forest.predict(Q[:, cols]).tobytes() == alone.predict(Q[:, cols]).tobytes()
+
+
+def test_no_forests_is_a_no_op():
+    fit_forests(np.zeros((3, 2)), [])
+    fit_forests(np.zeros((0, 0)), [])
+
+
+def test_one_feature_draw_without_a_size_is_the_size_one_draw():
+    # The grower draws a node's single feature with choice(d) and no
+    # size; the stream must stay that of choice(d, size=1).
+    for d in range(2, 40):
+        for seed in range(5):
+            a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(50):
+                assert a.choice(d, replace=False) == b.choice(d, size=1, replace=False)[0]
+            assert a.bit_generator.state == b.bit_generator.state

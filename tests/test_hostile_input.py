@@ -70,7 +70,18 @@ TARGETS = {
     "trace/report": ("trace.json", TRACE.read_bytes(), ["report", "--baseline-trace", None, "--drs-trace", TRACE]),
     "scored-points/fit": ("points.csv", scored_points_csv(), ["fit", "--scored-points", None]),
     "scored-points/crossover": ("points.csv", scored_points_csv(), ["crossover", "--scored-points", None]),
+    "scored-points/bench-rcql": ("points.csv", scored_points_csv(), ["bench-rcql", "--scored-points", None]),
     "feature-log/train": ("features.csv", feature_log_csv(), ["train", "--features", None, "--trees", "3"]),
+    "feature-log/cv": (
+        "features.csv",
+        feature_log_csv(),
+        ["cv", "--features", None, "--trees", "3", "--folds", "2", "--runs", "2"],
+    ),
+    "feature-log/gfs": (
+        "features.csv",
+        feature_log_csv(),
+        ["gfs", "--features", None, "--trees", "3", "--folds", "2", "--runs", "2"],
+    ),
 }
 
 # Tokens that turn a valid field into a hostile one.

@@ -188,6 +188,22 @@ def test_greedy_feature_selection_matches_record_oracle(seed, objective):
     assert bits(got) == bits(want)
 
 
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("objective", ["srocc", "rmse"])
+def test_multi_step_selection_over_runs_matches_record_oracle(seed, objective):
+    # Each step cross-validates every remaining candidate over several
+    # runs, and a later step's candidates carry the features chosen before.
+    records = seeded_records(200 + seed, n_contents=6, const_content=seed == 1)
+    cv = CvConfig(folds=2 + seed % 2, runs=2 + seed % 2, seed=seed)
+    hp = HYPERPARAMS[seed]
+    base = BASE_FEATURES[seed]
+    kwargs = dict(objective=objective, epsilon=-1.0, max_features=3, hyperparams=hp, base_features=base)
+    got = greedy_feature_selection(records, SCHEMA, cv, **kwargs)
+    want = oracle_greedy_feature_selection(records, SCHEMA, cv, **kwargs)
+    assert len(got.steps) == 3
+    assert bits(got) == bits(want)
+
+
 def test_unlabeled_rows_with_the_wrong_length_are_ignored():
     records = seeded_records(3)
     records.append(GopRecord("c99", 0, 1000.0, (1280, 720), (1.0, 2.0), None))

@@ -230,6 +230,15 @@ class TestRankingAccuracy:
         with pytest.raises(NoComparablePairs):
             ranking_accuracy(points)
 
+    @pytest.mark.parametrize("tie_eps", [float("nan"), -1.0, -1e-300, float("-inf")])
+    def test_tie_eps_must_be_non_negative(self, tie_eps):
+        # An exact subjective tie would otherwise count as a preference.
+        points = _pair_points([(1.0, 1.0), (2.0, 3.0)])
+        with pytest.raises(InvalidRange):
+            ranking_accuracy(points, tie_eps=tie_eps)
+        with pytest.raises(InvalidRange):
+            build_report(points, tie_eps=tie_eps)
+
     @given(
         scale=st.floats(0.1, 10.0),
         shift=st.floats(-5.0, 5.0),
