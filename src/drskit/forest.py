@@ -283,6 +283,8 @@ class _Growth:
     )
 
     def __init__(self, tree, sample, labels, cols, rng, params):
+        if cols.size == 0:
+            raise EmptyTrainingSet("the feature matrix has no columns: a tree needs at least one feature")
         self.tree = tree
         self.labels = labels
         self.cols = cols

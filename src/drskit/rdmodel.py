@@ -20,7 +20,6 @@ ladder decisions) is built on that primitive.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -56,6 +55,14 @@ _BETA4_FLOOR = 1e-9
 
 # Fewest samples a logistic fit takes: one per parameter.
 MIN_FIT_POINTS = 4
+
+# Start grid of fit_logistic: beta3 points over the box, and beta4 as
+# multiples of the bitrate span, from a step between neighbouring samples
+# (1e-4) to the near-linear limit (1e6).
+_GRID_B3 = 9
+_GRID_B4_SPANS = np.geomspace(1e-4, 1e6, 96)
+# Grid points polished per fit; the winner is then polished once more.
+_MAX_STARTS = 3
 
 
 @dataclass(frozen=True)
@@ -108,17 +115,76 @@ def _logistic_jacobian(p, x, y):
     return jac
 
 
+def _projected_grid(x, y, b3, b4):
+    """Variable projection of the fit onto a (beta3, beta4) grid.
+
+    For fixed (beta3, beta4) the model is linear in (beta2, delta), so the
+    best pair has a closed form: the 2-column least squares on centred
+    data, with ``delta`` clamped at 0.  Returns ``(beta2, delta, rss)``,
+    each of shape ``(b3.size, b4.size)``.  The logistic is taken as
+    ``(1 + tanh(t/2)) / 2``, whose centred values keep their precision for
+    the near-linear shapes of large beta4; the rss is then evaluated in
+    the model's own form, so that a pair which only rounds to a good fit
+    there (a huge ``delta``) is ranked by what the polish will see.
+    """
+    t = (x - b3[:, None, None]) / b4[:, None]
+    h = np.tanh(0.5 * t)
+    hc = h - h.mean(axis=-1, keepdims=True)
+    yc = y - y.mean()
+    num = hc @ yc
+    den = np.einsum("ijk,ijk->ij", hc, hc)
+    delta = 2.0 * np.divide(np.maximum(num, 0.0), den, out=np.zeros_like(den), where=den > 0)
+    b2 = y.mean() - 0.5 * delta * (1.0 + h.mean(axis=-1))
+    r = b2[..., None] + delta[..., None] * expit(t) - y
+    return b2, delta, np.einsum("ijk,ijk->ij", r, r)
+
+
+def _grid_minima(rss: np.ndarray) -> np.ndarray:
+    """Flat indices of the grid's local minima (no higher than any of the
+    8 neighbours and lower than one of them), by rss, stable."""
+    n3, n4 = rss.shape
+    hi = np.pad(rss, 1, constant_values=np.inf)
+    lo = np.pad(rss, 1, constant_values=-np.inf)
+    shifts = [(i, j) for i in range(3) for j in range(3) if (i, j) != (1, 1)]
+    nb_min = np.min([hi[i : i + n3, j : j + n4] for i, j in shifts], axis=0)
+    nb_max = np.max([lo[i : i + n3, j : j + n4] for i, j in shifts], axis=0)
+    idx = np.flatnonzero((rss <= nb_min) & (rss < nb_max))
+    return idx[np.argsort(rss.ravel()[idx], kind="stable")]
+
+
+def _grid_starts(rss: np.ndarray) -> list[int]:
+    """Flat indices of the grid points to polish, at most
+    ``_MAX_STARTS`` and all distinct: the grid's best point, the best
+    points of the two beta3 bounds, then the other local minima.
+
+    The bound rows are polished whatever their grid rss: a fit's flat
+    valleys end on a beta3 bound, and a narrow valley in beta4 can put a
+    basin's best grid point well above the basin's minimum.
+    """
+    n3, n4 = rss.shape
+    order = [int(np.argmin(rss)), int(np.argmin(rss[0])), (n3 - 1) * n4 + int(np.argmin(rss[-1]))]
+    starts = []
+    for f in [*order, *_grid_minima(rss).tolist()]:
+        if f not in starts:
+            starts.append(f)
+    return starts[:_MAX_STARTS]
+
+
 def fit_logistic(curve: RDCurve) -> LogisticParams:
     """Least-squares logistic fit with the inflection constrained to
     ``[r_min/2, r_min]``.
 
     The model is reparameterized as ``(beta2, delta, beta3, beta4)`` with
     ``delta = beta1 - beta2 >= 0``, which enforces a non-decreasing curve
-    by construction.  A fixed grid of 16 starting points derived
-    from data quantiles is polished with bounded trust-region least
-    squares; the best residual wins, ties going to the earlier start, so
-    the fit is deterministic.  Starts stop early once a start reaches a
-    numerically exact fit.
+    by construction.  The start comes from variable projection (Golub &
+    Pereyra 1973): on a fixed grid of beta3 (linear over the box) and
+    beta4 (geometric over the bitrate span, out to the near-linear limit)
+    the pair (beta2, delta) is solved in closed form.  At most
+    ``_MAX_STARTS`` grid points (see :func:`_grid_starts`) are polished
+    with bounded trust-region least squares, and the winner is polished
+    once more from its own solution, which restarts the trust region in
+    flat valleys.  The lowest residual wins, ties going to the earlier
+    polish, so the fit is deterministic.
     """
     if len(curve.points) < MIN_FIT_POINTS:
         raise TooFewPoints(f"logistic fit needs >= {MIN_FIT_POINTS} points, got {len(curve.points)}")
@@ -126,26 +192,17 @@ def fit_logistic(curve: RDCurve) -> LogisticParams:
     y = curve.qualities
 
     r_min = curve.r_min
-    b3_lo, b3_hi = r_min / 2.0, r_min
-    span = float(y.max() - y.min())
-    xspan = float(x[-1] - x[0])
+    lower = np.array([-np.inf, 0.0, r_min / 2.0, _BETA4_FLOOR])
+    upper = np.array([np.inf, np.inf, r_min, np.inf])
 
-    lower = np.array([-np.inf, 0.0, b3_lo, _BETA4_FLOOR])
-    upper = np.array([np.inf, np.inf, b3_hi, np.inf])
+    b3_grid = np.linspace(r_min / 2.0, r_min, _GRID_B3)
+    b4_grid = _GRID_B4_SPANS * float(x[-1] - x[0])
+    b2, delta, rss = _projected_grid(x, y, b3_grid, b4_grid)
 
-    b2_starts = (float(y.min()), float(np.quantile(y, 0.25)))
-    delta_starts = (span, span / 2.0)
-    b3_starts = (b3_lo + 0.25 * (b3_hi - b3_lo), b3_lo + 0.75 * (b3_hi - b3_lo))
-    b4_starts = (max(xspan / 4.0, 1.0), max(r_min / 4.0, 1.0))
-
-    exact_rss = 1e-16 * max(1.0, float(np.sum(y * y)))
-    best = None
-    best_rss = np.inf
-    for p0 in itertools.product(b2_starts, delta_starts, b3_starts, b4_starts):
-        p0 = np.clip(np.asarray(p0, dtype=float), lower, upper)
+    def polish(p0):
         sol = least_squares(
             _logistic_residuals,
-            p0,
+            np.clip(p0, lower, upper),
             jac=_logistic_jacobian,
             bounds=(lower, upper),
             args=(x, y),
@@ -155,12 +212,18 @@ def fit_logistic(curve: RDCurve) -> LogisticParams:
             gtol=1e-12,
             max_nfev=400,
         )
-        rss = float(np.sum(sol.fun * sol.fun))
-        if rss < best_rss:
-            best_rss = rss
-            best = sol.x
-        if best_rss <= exact_rss:
-            break
+        return sol.x, float(np.sum(sol.fun * sol.fun))
+
+    best = None
+    best_rss = np.inf
+    for f in _grid_starts(rss):
+        i, j = divmod(f, b4_grid.size)
+        sol, sol_rss = polish(np.array([b2[i, j], delta[i, j], b3_grid[i], b4_grid[j]]))
+        if sol_rss < best_rss:
+            best, best_rss = sol, sol_rss
+    sol, sol_rss = polish(best)
+    if sol_rss < best_rss:
+        best, best_rss = sol, sol_rss
 
     b2, delta, b3, b4 = (float(v) for v in best)
     return LogisticParams(beta1=b2 + delta, beta2=b2, beta3=b3, beta4=b4, rss=best_rss)

@@ -1,8 +1,8 @@
 """Hostile-input contract of the CLI.
 
 Byte-level mutations of every input file kind (quality log, ladder JSON,
-trace JSON, scored points, feature log) are fed to the commands that
-read them.  Whatever the bytes, a command may only succeed (0), reject
+trace JSON, bandwidth samples, weights JSON, scored points, feature log)
+are fed to the commands that read them.  Whatever the bytes, a command may only succeed (0), reject
 the input (2) or find the computation infeasible (3); an internal error
 (exit 4, with a traceback) is a bug in the reader or the layer behind it.
 """
@@ -25,6 +25,9 @@ LOG = DATA / "synthetic_quality_log.csv"
 LADDER = DATA / "dynamic_ladder.json"
 BASELINE = DATA / "baseline_ladder.json"
 TRACE = DATA / "golden_trace.json"
+# One session bandwidth per line, spread over the synthetic log's rungs.
+BANDWIDTH = b"# session bandwidths (kbps)\n" + b"".join(b"%d\n" % b for b in range(800, 12001, 700))
+WEIGHTS = b'{"1000.0": 0.05, "1500.0": 0.1, "2000.0": 0.15, "3000.0": 0.2, "4000.0": 0.2, "6000.0": 0.15, "8000.0": 0.1, "10000.0": 0.05}\n'
 
 
 def scored_points_csv(seed=0) -> bytes:
@@ -61,6 +64,13 @@ TARGETS = {
         LOG.read_bytes(),
         ["simulate", "--log", None, "--ladder", LADDER, "--baseline", BASELINE],
     ),
+    "quality-log/analyze-gops": ("log.csv", LOG.read_bytes(), ["analyze-gops", "--log", None]),
+    "bandwidth-samples/select-ladder": (
+        "bandwidth.txt",
+        BANDWIDTH,
+        ["select-ladder", "--log", LOG, "--k", "12", "--bandwidth-samples", None],
+    ),
+    "weights/select-ladder": ("weights.json", WEIGHTS, ["select-ladder", "--log", LOG, "--k", "12", "--weights", None]),
     "ladder/select-ladder": (
         "ladder.json",
         LADDER.read_bytes(),

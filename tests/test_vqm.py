@@ -103,6 +103,13 @@ class TestForest:
         for ok in (dict(n_trees=1, max_depth=0, min_leaf=1), dict(max_depth=None, feature_subsample=1.0)):
             TreeParams(**ok)
 
+    def test_no_feature_columns_is_an_input_error(self):
+        y = np.arange(10.0)
+        with pytest.raises(EmptyTrainingSet, match="feature matrix has no columns"):
+            RegressionForest(params=TreeParams(n_trees=2)).fit(np.zeros((10, 0)), y)
+        with pytest.raises(EmptyTrainingSet, match="feature matrix has no columns"):
+            RegressionTree().fit(np.zeros((10, 0)), y, np.random.default_rng(0), TreeParams())
+
     def test_importances_zero_for_unused_feature(self):
         rng = np.random.default_rng(6)
         X = np.column_stack([rng.uniform(0, 1, 100), np.full(100, 7.0)])
