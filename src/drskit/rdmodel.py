@@ -184,7 +184,8 @@ def fit_logistic(curve: RDCurve) -> LogisticParams:
     with bounded trust-region least squares, and the winner is polished
     once more from its own solution, which restarts the trust region in
     flat valleys.  The lowest residual wins, ties going to the earlier
-    polish, so the fit is deterministic.
+    polish, so the fit is deterministic.  Polishing stops as soon as a
+    fit is numerically exact, which noiseless curves reach in one polish.
     """
     if len(curve.points) < MIN_FIT_POINTS:
         raise TooFewPoints(f"logistic fit needs >= {MIN_FIT_POINTS} points, got {len(curve.points)}")
@@ -214,6 +215,7 @@ def fit_logistic(curve: RDCurve) -> LogisticParams:
         )
         return sol.x, float(np.sum(sol.fun * sol.fun))
 
+    exact_rss = 1e-16 * max(1.0, float(np.sum(y * y)))
     best = None
     best_rss = np.inf
     for f in _grid_starts(rss):
@@ -221,9 +223,12 @@ def fit_logistic(curve: RDCurve) -> LogisticParams:
         sol, sol_rss = polish(np.array([b2[i, j], delta[i, j], b3_grid[i], b4_grid[j]]))
         if sol_rss < best_rss:
             best, best_rss = sol, sol_rss
-    sol, sol_rss = polish(best)
-    if sol_rss < best_rss:
-        best, best_rss = sol, sol_rss
+        if best_rss <= exact_rss:
+            break
+    if best_rss > exact_rss:
+        sol, sol_rss = polish(best)
+        if sol_rss < best_rss:
+            best, best_rss = sol, sol_rss
 
     b2, delta, b3, b4 = (float(v) for v in best)
     return LogisticParams(beta1=b2 + delta, beta2=b2, beta3=b3, beta4=b4, rss=best_rss)
