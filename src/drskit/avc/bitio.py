@@ -20,14 +20,6 @@ class BitReader:
         self._pos = 0  # bit position
         self._n_bits = 8 * len(data)
 
-    @property
-    def bit_position(self) -> int:
-        return self._pos
-
-    @property
-    def bits_remaining(self) -> int:
-        return self._n_bits - self._pos
-
     def read_bit(self) -> int:
         if self._pos >= self._n_bits:
             raise BitstreamExhausted(f"read past end of payload at bit {self._pos}")
@@ -66,9 +58,6 @@ class BitReader:
         k = self.read_ue()
         magnitude = (k + 1) >> 1
         return magnitude if k & 1 else -magnitude
-
-    def byte_aligned(self) -> bool:
-        return (self._pos & 7) == 0
 
 
 class BitWriter:

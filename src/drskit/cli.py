@@ -529,7 +529,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--candidates", default=None, help="candidate ladder JSON (default: all log pairs)")
     p.add_argument("--bandwidth-samples", default=None, help="file with one session bandwidth per line")
     p.add_argument("--weights", default=None, help="JSON {bitrate: weight}")
-    p.add_argument("--solver", choices=("greedy", "exhaustive"), default="greedy")
+    p.add_argument(
+        "--solver", choices=("greedy", "exhaustive"), default="greedy",
+        help="exhaustive is exact for any ladder with at most 20 candidates per rung",
+    )
     p.add_argument("--units", choices=("kbps", "mbps"), default="kbps")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_select_ladder)

@@ -72,10 +72,6 @@ class RDCurve:
         return self.points[0].bitrate_kbps
 
     @property
-    def pixels(self) -> int:
-        return self.resolution[0] * self.resolution[1]
-
-    @property
     def label(self) -> str:
         return f"{self.resolution[0]}x{self.resolution[1]}"
 
@@ -180,11 +176,7 @@ def _pchip_edge(h0: float, h1: float, d0: float, d1: float) -> float:
 
 def fit_pchip(curve: RDCurve) -> PchipCurve:
     """Shape-preserving cubic interpolant of the curve's samples."""
-    if len(curve.points) < 2:
-        raise TooFewPoints(f"interpolation needs >= 2 points, got {len(curve.points)}")
-    x = curve.bitrates
-    y = curve.qualities
-    return pchip_from_arrays(x, y)
+    return pchip_from_arrays(curve.bitrates, curve.qualities)
 
 
 def pchip_from_arrays(x: np.ndarray, y: np.ndarray) -> PchipCurve:

@@ -4,13 +4,14 @@
 resolution) candidate.  ``best_resolution_probability`` counts how often
 each resolution wins a rung; the optimizers pick a bounded set of
 representations maximizing bandwidth-weighted quality, either exactly
-(guarded exhaustive enumeration) or via seeded greedy marginal gains,
-which is near-optimal because the per-rung max objective is monotone
-submodular.
+(per-rung subset tables and a DP over the budget, for at most 20
+candidates per rung) or via seeded greedy marginal gains, which is
+near-optimal because the per-rung max objective is monotone submodular.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -132,14 +133,10 @@ def best_resolution_probability(log: QualityLog) -> ProbabilityTable:
     rung; exact ties go to the lower resolution and are counted once."""
     if np.isnan(log.scores).any():
         raise IncompleteLog("quality log has missing scores")
-    n_gops = log.n_gops
-    probs = np.zeros((len(log.rungs), len(log.resolutions)))
-    for j in range(len(log.rungs)):
-        # argmax returns the first maximum; resolutions are ascending, so
-        # ties land on the lower one.
-        winners = np.argmax(log.scores[:, j, :], axis=1)
-        counts = np.bincount(winners, minlength=len(log.resolutions))
-        probs[j] = counts / n_gops
+    # argmax returns the first maximum; resolutions are ascending, so
+    # ties land on the lower one.
+    winners = np.argmax(log.scores, axis=2)
+    probs = (winners[:, :, None] == np.arange(len(log.resolutions))).sum(axis=0) / log.n_gops
     probs.flags.writeable = False
     return ProbabilityTable(log.rungs, log.resolutions, probs)
 
@@ -236,42 +233,63 @@ def ladder_objective(problem: LadderProblem, selected) -> float:
 
 
 def optimize_ladder_exhaustive(problem: LadderProblem) -> LadderSolution:
-    """Exact maximizer by enumeration of all feasible selections.
+    """Exact maximizer for any ladder with at most 20 candidates per rung.
 
-    Guarded to at most 20 candidates.  Enumeration goes by ascending
-    selection size, then lexicographic (rung, resolution), and keeps the
-    first optimum, which fixes tie-breaking deterministically.
-    """
-    cands = problem.candidates
-    if len(cands) > _EXHAUSTIVE_CANDIDATE_LIMIT:
-        raise TooManyCandidates(f"{len(cands)} candidates exceed the exhaustive limit of {_EXHAUSTIVE_CANDIDATE_LIMIT}")
-    rungs = problem.log.rungs
-    if problem.k_max < len(rungs):
-        raise InfeasibleK(f"k_max = {problem.k_max} cannot cover {len(rungs)} rungs")
-
+    Each rung's subsets are scored on their own and a DP over the size,
+    adding the terms in rung order from 0.0, finds the optimum.  The pick
+    is the first optimum of an enumeration by ascending size, then
+    lexicographic candidate index, even where only rounding makes a tie."""
+    cands, rungs, k = problem.candidates, problem.log.rungs, problem.k_max
+    if k < len(rungs):
+        raise InfeasibleK(f"k_max = {k} cannot cover {len(rungs)} rungs")
+    members = [[i for i, c in enumerate(cands) if c[0] == b] for b in rungs]
+    for b, idx in zip(rungs, members):
+        if len(idx) > _EXHAUSTIVE_CANDIDATE_LIMIT:
+            raise TooManyCandidates(f"rung {b} has {len(idx)} candidates, more than {_EXHAUSTIVE_CANDIDATE_LIMIT}")
     cols = np.stack([problem.candidate_column(c) for c in cands], axis=1)
-    cand_rungs = [c[0] for c in cands]
-    weights = np.array([problem.weights[b] for b in rungs])
-    rung_of = {b: i for i, b in enumerate(rungs)}
 
-    best_obj = -np.inf
-    best_sel: tuple[int, ...] | None = None
-    max_k = min(problem.k_max, len(cands))
-    for size in range(len(rungs), max_k + 1):
-        for combo in itertools.combinations(range(len(cands)), size):
-            covered = {cand_rungs[i] for i in combo}
-            if len(covered) != len(rungs):
-                continue
-            obj = 0.0
-            for b in rungs:
-                members = [i for i in combo if cand_rungs[i] == b]
-                obj += weights[rung_of[b]] * float(np.max(cols[:, members], axis=1).sum())
-            if obj > best_obj:
-                best_obj = obj
-                best_sel = combo
-    if best_sel is None:
+    def scored(b, idx, s):  # each size-s subset's term, in combinations order; NaN (0 * inf) as -inf
+        values = [problem.weights[b] * float(np.max(cols[:, c], axis=1).sum()) for c in itertools.combinations(idx, s)]
+        return np.fmax(values, -np.inf)
+
+    spare = k - len(rungs) + 1  # the most candidates one rung can take
+    terms = [{s: scored(b, idx, s) for s in range(1, min(len(idx), spare) + 1)} for b, idx in zip(rungs, members)]
+    tops = [{s: t.max() for s, t in by_size.items()} for by_size in terms]
+
+    def reach(best: dict[int, float], r: int) -> dict[int, float]:
+        for top in tops[r:]:
+            nxt: dict[int, float] = {}
+            for (used, obj), (s, t) in itertools.product(best.items(), top.items()):
+                if used + s <= k and obj + t > nxt.get(used + s, -np.inf):
+                    nxt[used + s] = obj + t
+            best = nxt
+        return best
+
+    final = reach({0: 0.0}, 0)
+    if not final:
         raise InfeasibleK("no feasible selection covers every rung")
-    return LadderSolution(tuple(cands[i] for i in best_sel), best_obj)
+    best_obj = max(final.values())
+    size = min(n for n, obj in final.items() if obj == best_obj)
+
+    # Per rung, the first subset from which the later rungs can still reach
+    # the optimum.  Float addition is monotone, so per size those are the
+    # subsets whose term clears a bar.  Across sizes, a subset ranks after
+    # its own extensions (the padding): in the enumeration, the next index
+    # of the shorter one is a later rung's.
+    selected, obj = [], 0.0
+    for r, by_size in enumerate(terms):
+        picks = []
+        for s, t in by_size.items():
+            used, levels = len(selected) + s, np.unique(t)
+            i = bisect.bisect_left(levels, True, key=lambda x: reach({used: obj + x}, r + 1).get(size) == best_obj)
+            if i < len(levels):
+                j = int(np.argmax(t >= levels[i]))
+                combo = next(itertools.islice(itertools.combinations(members[r], s), j, None))
+                picks.append((combo + (len(cands),), t[j]))
+        combo, term = min(picks)
+        selected += combo[:-1]
+        obj = obj + term
+    return LadderSolution(tuple(cands[i] for i in selected), best_obj)
 
 
 def optimize_ladder_greedy(problem: LadderProblem) -> LadderSolution:

@@ -163,10 +163,6 @@ class GfsResult:
     steps: tuple[GfsStep, ...]
     objective: str
 
-    @property
-    def trajectory(self) -> list[float]:
-        return [s.score for s in self.steps]
-
 
 def greedy_feature_selection(
     records: list[GopRecord],

@@ -191,6 +191,10 @@ def fit_logistic(curve: RDCurve) -> LogisticParams:
         raise TooFewPoints(f"logistic fit needs >= {MIN_FIT_POINTS} points, got {len(curve.points)}")
     x = curve.bitrates
     y = curve.qualities
+    with np.errstate(over="ignore"):
+        exact_rss = 1e-16 * max(1.0, float(np.sum(y * y)))
+    if not math.isfinite(exact_rss):
+        raise NonFinite("qualities are too large: their sum of squares overflows float64")
 
     r_min = curve.r_min
     lower = np.array([-np.inf, 0.0, r_min / 2.0, _BETA4_FLOOR])
@@ -215,7 +219,6 @@ def fit_logistic(curve: RDCurve) -> LogisticParams:
         )
         return sol.x, float(np.sum(sol.fun * sol.fun))
 
-    exact_rss = 1e-16 * max(1.0, float(np.sum(y * y)))
     best = None
     best_rss = np.inf
     for f in _grid_starts(rss):

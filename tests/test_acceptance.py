@@ -100,13 +100,11 @@ def test_criterion_2_crossover_oracle_equivalence(capsys):
             res = find_crossover(low, high, (lo_kbps, hi_kbps))
 
             diff = eval_logistic(high, grid) - eval_logistic(low, grid)
-            signs = np.sign(diff)
-            nz = np.flatnonzero(signs != 0.0)
-            flips = [
-                (grid[i], grid[j])
-                for i, j in zip(nz, nz[1:])
-                if signs[i] * signs[j] < 0
-            ]
+            # Sign changes between consecutive nonzero grid values.
+            nz = np.flatnonzero(diff != 0.0)
+            signs = np.sign(diff[nz])
+            flip = np.flatnonzero(signs[:-1] * signs[1:] < 0)
+            flips = list(zip(grid[nz[flip]], grid[nz[flip + 1]]))
             oracle_status = {0: "none", 1: "found"}.get(len(flips), "multiple_resolved")
             assert res.status == oracle_status
             n_status["agree"] += 1

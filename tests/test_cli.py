@@ -143,6 +143,22 @@ class TestFitAndCrossover:
             assert f["beta4"] > 0
             assert f["beta1"] >= f["beta2"]
 
+    def test_fit_overflowing_qualities_exit_code(self, tmp_path):
+        # The squared qualities overflow float64; 1e150 would still fit.
+        points_csv = tmp_path / "huge.csv"
+        points_csv.write_text(
+            "content_id,resolution,bitrate_kbps,subjective_jod,objective_score\n"
+            + "".join(f"a,1920x1080,{1000 * i},{i}e200,{i}\n" for i in range(1, 5))
+        )
+        result = subprocess.run(
+            [sys.executable, "-m", "drskit.cli", "fit", "--scored-points", str(points_csv), "--out", str(tmp_path / "o")],
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 2
+        assert "NonFinite" in result.stderr and "overflows" in result.stderr
+        assert "Traceback" not in result.stderr
+
     def test_crossover_outputs(self, tmp_path):
         points_csv = tmp_path / "scores.csv"
         write_scored_points(points_csv)
@@ -192,6 +208,30 @@ class TestSelectLadder:
         )
         assert code == 3
         assert "InfeasibleK" in capsys.readouterr().err
+
+    def test_exhaustive_solves_24_candidates(self, tmp_path):
+        # 8 rungs x 3 resolutions: more candidates than one rung may hold.
+        out = tmp_path / "sel"
+        log = DATA / "synthetic_quality_log.csv"
+        assert run_cli("select-ladder", "--log", log, "--k", 12, "--solver", "exhaustive", "--out", out) == 0
+        exact = json.loads((out / "ladder_solution.json").read_text())
+        assert run_cli("select-ladder", "--log", log, "--k", 12, "--out", tmp_path / "greedy") == 0
+        greedy = json.loads((tmp_path / "greedy" / "ladder_solution.json").read_text())
+        assert len(exact["selected"]) <= 12
+        assert exact["objective"] >= greedy["objective"]
+
+    def test_exhaustive_rung_over_the_limit_exit_code(self, tmp_path, capsys):
+        log = tmp_path / "wide.csv"
+        with open(log, "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(["content_id", "gop_index", "bitrate_kbps", "width", "height", "vqm_score"])
+            for i in range(21):
+                w.writerow(["c", 0, 1000.0, 64 * (i + 1), 36 * (i + 1), float(i)])
+        code = run_cli("select-ladder", "--log", log, "--k", 2, "--solver", "exhaustive", "--out", tmp_path / "sel")
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "TooManyCandidates: rung 1000.0 has 21 candidates, more than 20" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("k, code, error", [(-3, 2, "InputError"), (-1, 2, "InputError"), (0, 3, "InfeasibleK")])
     def test_k_below_the_rung_count_exit_code(self, tmp_path, capsys, k, code, error):

@@ -136,3 +136,23 @@ def test_mutated_input_exits_0_2_or_3(target):
         assert "Traceback" not in err.getvalue()
 
     check()
+
+
+# Qualities whose squares overflow float64: well-formed numbers that no
+# fit can use, so every command that fits rejects them (exit 2).
+HUGE_QUALITIES = b"content_id,resolution,bitrate_kbps,subjective_jod,objective_score\n" + b"".join(
+    b"a,%s,%d,%de200,%d\n" % (res, 1000 * i, i, i) for i in range(1, 5) for res in (b"1280x720", b"1920x1080")
+)
+
+
+@pytest.mark.parametrize("command", ["fit", "crossover", "bench-rcql"])
+def test_overflowing_qualities_exit_2(command):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "points.csv"
+        path.write_bytes(HUGE_QUALITIES)
+        err = stdio.StringIO()
+        with contextlib.redirect_stdout(stdio.StringIO()), contextlib.redirect_stderr(err):
+            code = main([command, "--scored-points", str(path), "--out", str(Path(tmp) / "out")])
+    assert code == 2, err.getvalue()
+    assert "NonFinite" in err.getvalue()
+    assert "Traceback" not in err.getvalue()

@@ -1,4 +1,6 @@
 import itertools
+import math
+import struct
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ import pytest
 from drskit.errors import EmptyInput, IncompleteLog, InfeasibleK, InputError, TooManyCandidates
 from drskit.ladder import (
     LadderProblem,
+    LadderSolution,
     QualityLog,
     best_resolution_probability,
     cumulative_probability,
@@ -172,11 +175,164 @@ class TestExhaustive:
             optimize_ladder_exhaustive(LadderProblem.build(log, k_max=2))
 
     def test_candidate_guard(self):
+        # 24 candidates over 8 rungs solve; a rung with 21 candidates does not.
         rng = np.random.default_rng(9)
         rungs = tuple(1000.0 * (i + 1) for i in range(8))
         log = random_log(rng, n_gops=3, rungs=rungs, resolutions=(R540, R720, R1080))
+        problem = LadderProblem.build(log, k_max=9)
+        sol = optimize_ladder_exhaustive(problem)
+        assert len(sol.selected) <= 9
+        assert {c[0] for c in sol.selected} == set(rungs)
+        assert sol.objective == ladder_objective(problem, sol.selected)
+        assert sol.objective >= optimize_ladder_greedy(problem).objective
+
+        wide = tuple((64 * (i + 1), 36 * (i + 1)) for i in range(21))
+        log = random_log(rng, n_gops=3, rungs=(1000.0,), resolutions=wide)
         with pytest.raises(TooManyCandidates):
-            optimize_ladder_exhaustive(LadderProblem.build(log, k_max=9))
+            optimize_ladder_exhaustive(LadderProblem.build(log, k_max=2))
+        sol = optimize_ladder_exhaustive(LadderProblem.build(log, k_max=2, candidates=[(1000.0, r) for r in wide[1:]]))
+        assert len(sol.selected) <= 2
+
+
+def enumeration_oracle(problem):
+    """Exact solver by enumeration of every feasible selection: ascending
+    size, then lexicographic candidate index, keeping the first strict
+    optimum.  The per-rung terms are summed in rung order, so ties
+    resolve bit for bit as they must in ``optimize_ladder_exhaustive``."""
+    cands = problem.candidates
+    rungs = problem.log.rungs
+    if problem.k_max < len(rungs):
+        raise InfeasibleK(f"k_max = {problem.k_max} cannot cover {len(rungs)} rungs")
+
+    cols = np.stack([problem.candidate_column(c) for c in cands], axis=1)
+    cand_rungs = [c[0] for c in cands]
+    weights = np.array([problem.weights[b] for b in rungs])
+    rung_of = {b: i for i, b in enumerate(rungs)}
+
+    best_obj = -np.inf
+    best_sel = None
+    max_k = min(problem.k_max, len(cands))
+    for size in range(len(rungs), max_k + 1):
+        for combo in itertools.combinations(range(len(cands)), size):
+            covered = {cand_rungs[i] for i in combo}
+            if len(covered) != len(rungs):
+                continue
+            obj = 0.0
+            for b in rungs:
+                members = [i for i in combo if cand_rungs[i] == b]
+                obj += weights[rung_of[b]] * float(np.max(cols[:, members], axis=1).sum())
+            if obj > best_obj:
+                best_obj = obj
+                best_sel = combo
+    if best_sel is None:
+        raise InfeasibleK("no feasible selection covers every rung")
+    return LadderSolution(tuple(cands[i] for i in best_sel), best_obj)
+
+
+# 1440x900 has fewer pixels than 1280x1024 but the larger width, so
+# (bitrate, (w, h)) order and candidate order disagree on the pair.
+RESOLUTION_POOL = (
+    (384, 216), (512, 288), (640, 360), (768, 432), (960, 540), (1024, 576), (1152, 648), (1280, 720),
+    (1440, 900), (1280, 1024), (1600, 900), (1680, 1050), (1600, 1200), (1920, 1080), (2048, 1080),
+    (2048, 1152), (2560, 1440), (3200, 1800), (3840, 2160), (4096, 2160),
+)
+
+
+def random_instance(rng, max_candidates=20):
+    """A random problem of at most ``max_candidates`` candidates, with
+    uneven rungs and, in most draws, planted exact or rounding ties."""
+    n_rungs = int(rng.integers(1, 5))
+    rungs = tuple(500.0 * (i + 1) for i in sorted(rng.choice(20, n_rungs, replace=False)))
+    n_gops = int(rng.integers(1, 5))
+    shape = (n_gops, n_rungs, len(RESOLUTION_POOL))
+    kind = rng.integers(4)
+    if kind == 0:  # integers: many exact ties
+        scores = rng.integers(0, 4, shape).astype(float)
+    elif kind == 1:  # sums that differ in the last bits only
+        base = rng.uniform(1.0, 2.0, (n_gops, n_rungs, 1))
+        scores = base + rng.integers(0, 3, shape) * np.spacing(base)
+    elif kind == 2:
+        scores = np.round(rng.uniform(0, 10, shape), 1)
+    else:
+        scores = rng.uniform(0, 10, shape)
+    log = log_from_array(scores, rungs, RESOLUTION_POOL)
+
+    sizes = rng.multinomial(int(rng.integers(n_rungs, max_candidates + 1)) - n_rungs, [1 / n_rungs] * n_rungs) + 1
+    candidates = []
+    for b, m in zip(rungs, np.minimum(sizes, len(RESOLUTION_POOL))):
+        candidates += [(b, RESOLUTION_POOL[i]) for i in rng.choice(len(RESOLUTION_POOL), m, replace=False)]
+    weights = {b: float(rng.choice([0.0, 0.1, 1 / 3, 1e3, rng.uniform(0, 1)])) for b in rungs}
+
+    # k spans R..n+1, capped where the oracle would enumerate too much.
+    n = len(candidates)
+    k_hi = n_rungs
+    while k_hi <= n and sum(math.comb(n, s) for s in range(n_rungs, k_hi + 2)) <= 2000:
+        k_hi += 1
+    k = int(rng.integers(n_rungs, k_hi + 1))
+    return LadderProblem.build(log, k_max=k, weights=weights, candidates=candidates)
+
+
+class TestExhaustiveAgainstEnumeration:
+    def test_random_instances_bit_identical(self):
+        rng = np.random.default_rng(2026)
+        for trial in range(500):
+            problem = random_instance(rng)
+            got = optimize_ladder_exhaustive(problem)
+            want = enumeration_oracle(problem)
+            assert got.selected == want.selected, trial
+            assert struct.pack("<d", got.objective) == struct.pack("<d", want.objective), trial
+
+    def test_overflowing_terms(self):
+        # Column sums of +-inf, and 0 * inf = NaN on zero-weight rungs: a
+        # selection whose objective is NaN or -inf is never kept, and when
+        # every one is, both solvers find the problem infeasible.
+        rng = np.random.default_rng(11)
+        outcomes = set()
+        for trial in range(200):
+            n_rungs, n_res = int(rng.integers(1, 4)), int(rng.integers(1, 5))
+            scores = rng.choice([-1e308, 1e308, 1.0, 2.0, -3.0], size=(2, n_rungs, n_res))
+            log = log_from_array(scores, tuple(1000.0 * (i + 1) for i in range(n_rungs)), RESOLUTION_POOL[:n_res])
+            weights = {b: float(rng.choice([0.0, 0.5, 1.0])) for b in log.rungs}
+            problem = LadderProblem.build(log, k_max=int(rng.integers(n_rungs, n_rungs * n_res + 2)), weights=weights)
+            with np.errstate(over="ignore", invalid="ignore"):
+                try:
+                    want = enumeration_oracle(problem)
+                except InfeasibleK:
+                    with pytest.raises(InfeasibleK):
+                        optimize_ladder_exhaustive(problem)
+                    outcomes.add("infeasible")
+                    continue
+                got = optimize_ladder_exhaustive(problem)
+            assert got.selected == want.selected, trial
+            assert struct.pack("<d", got.objective) == struct.pack("<d", want.objective), trial
+            outcomes.add(want.objective if np.isinf(want.objective) else "finite")
+        assert outcomes >= {"infeasible", "finite", np.inf}
+
+    def test_tie_that_only_rounding_makes(self):
+        # Rung 1000's 720p term beats 540p's by one ulp, which adding rung
+        # 2000's term rounds away: both selections score 1001.0, and the
+        # enumeration keeps the first, 540p.
+        records = [
+            ("c", 0, 1000.0, R540, 1.0),
+            ("c", 0, 1000.0, R720, 1.0 + 2.0**-52),
+            ("c", 0, 2000.0, R540, 1000.0),
+            ("c", 0, 2000.0, R720, 0.0),
+        ]
+        problem = LadderProblem.build(QualityLog.from_records(records), k_max=2, weights={1000.0: 1.0, 2000.0: 1.0})
+        sol = optimize_ladder_exhaustive(problem)
+        assert sol == enumeration_oracle(problem)
+        assert sol.selected == ((1000.0, R540), (2000.0, R540))
+
+    def test_width_order_differs_from_candidate_order(self):
+        # 1440x900 precedes 1280x1024 as a candidate (fewer pixels); with
+        # equal scores the tie goes to it, not to the smaller width.
+        r900, r1024 = (1440, 900), (1280, 1024)
+        scores = np.full((2, 1, 3), 2.0)
+        scores[:, 0, 0] = 1.0
+        problem = LadderProblem.build(log_from_array(scores, (1000.0,), (R720, r900, r1024)), k_max=2)
+        sol = optimize_ladder_exhaustive(problem)
+        assert sol == enumeration_oracle(problem)
+        assert sol.selected == ((1000.0, r900),)
 
 
 class TestGreedy:

@@ -101,8 +101,6 @@ class TestRcqlS:
 
 def loop_crossings_between(f_low, f_high, a, b, search):
     """_crossings_between with its per-grid-point bracketing loop."""
-    if b - a <= 0:
-        return []
     probe = search(f_low, f_high, (a, b), scan_samples=4096)
     if probe.status == STATUS_NONE:
         return []
@@ -114,7 +112,7 @@ def loop_crossings_between(f_low, f_high, a, b, search):
     for i, j in zip(nz, nz[1:]):
         if signs[i] * signs[j] < 0:
             res = search(f_low, f_high, (grid[i], grid[j]), scan_samples=64)
-            if res.has_bitrate:
+            if res.has_bitrate and a + 1e-6 < res.bitrate_kbps < b - 1e-6:
                 roots.append(res.bitrate_kbps)
     return roots
 
@@ -144,6 +142,23 @@ class TestCrossingsBetween:
         # The loop's first search only probed the same grid it re-scans.
         assert expected_calls[0] == ((2000.0, 9000.0), {"scan_samples": 4096})
         assert got_calls == expected_calls[1:]
+
+    @pytest.mark.parametrize("end", ["a", "b"])
+    def test_root_at_an_end_is_not_interior(self, end):
+        # The gap crosses zero 3e-7 kbps inside the interval, which is the
+        # end-point cross-over seen through a bisection residual; a root
+        # 1 kbps inside is a real crossing.
+        a, b = 2000.0, 9000.0
+
+        def zero(x):
+            return np.zeros_like(np.asarray(x, dtype=float))
+
+        def gap(root):
+            return lambda x: np.asarray(x, dtype=float) - root
+
+        near, inside = (a + 3e-7, a + 1.0) if end == "a" else (b - 3e-7, b - 1.0)
+        assert rcql._crossings_between(zero, gap(near), a, b) == []
+        assert rcql._crossings_between(zero, gap(inside), a, b) == [pytest.approx(inside, abs=1e-6)]
 
     @pytest.mark.parametrize("a, b", [(0.0, 9000.0), (-5.0, 9000.0), (2000.0, float("inf"))])
     def test_invalid_range(self, a, b):
