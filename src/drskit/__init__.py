@@ -3,8 +3,8 @@ quality models, ladder optimization and resolution-switching simulation.
 
 Submodules and the names below are imported on first access (PEP 562),
 so ``import drskit`` and each CLI command load only the modules they
-use.  Only ``rdmodel`` and ``rcql`` load scipy (close to a second under
-``python -X importtime``); every other module, ``vqm`` and ``protocol``
+use.  Only ``rcql`` loads scipy (close to a second under ``python -X
+importtime``); every other module, ``rdmodel``, ``vqm`` and ``protocol``
 included, needs numpy alone.
 """
 

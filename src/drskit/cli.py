@@ -17,10 +17,9 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-# Only modules that every command needs are imported here.  rdmodel
-# and rcql load scipy (about half a second of start-up), so each command
-# imports them, and the other modules it alone uses, in its body and
-# pays for them only when it runs.
+# Only modules that every command needs are imported here.  Each command
+# imports the modules it alone uses in its body and pays for them only
+# when it runs; rcql loads scipy, about half a second of start-up.
 from . import __version__, io
 from .avc.features import extract_gop_features
 from .errors import InputError, ToolkitError
@@ -311,6 +310,7 @@ def _write_trace_outputs(out: Path, name: str, trace) -> None:
 
 def cmd_simulate(args, argv) -> int:
     from .drs import simulate, trace_rd_points
+    from .rdmodel import MIN_FIT_POINTS, fit_logistic
 
     log = io.load_quality_log(args.log, args.units)
     ladder = io.load_ladder_or_solution(args.ladder, args.units)
@@ -325,10 +325,6 @@ def cmd_simulate(args, argv) -> int:
             fh.write(f"{p.bitrate_kbps!r},{p.quality!r}\n")
     # Per-rung mean points feed the BD computation directly (PCHIP); a
     # logistic fit of the same points is emitted alongside for plotting.
-    # Imported only now: scipy's import then reuses the memory that
-    # reading the log freed, which keeps the command's peak RSS lower.
-    from .rdmodel import MIN_FIT_POINTS, fit_logistic
-
     if len(drs_curve.points) >= MIN_FIT_POINTS:
         fitted = fit_logistic(drs_curve)
         io.write_json(

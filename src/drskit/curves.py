@@ -4,9 +4,9 @@
 quality) samples, :class:`ScoredPoint` one sample carrying both a
 subjective label and an objective metric score, and :class:`PchipCurve`
 the monotone piecewise-cubic interpolant (:func:`fit_pchip`) that
-Bjontegaard-style integrals are computed on.  The fitted models and the
-cross-over search live in :mod:`drskit.rdmodel`, which loads scipy; the
-switching path uses only this module.
+Bjontegaard-style integrals are computed on.  The fitted logistic and
+the cross-over search live in :mod:`drskit.rdmodel`; the switching path
+uses only this module, apart from the plotting fit in ``rd_fit.json``.
 """
 
 from __future__ import annotations

@@ -24,8 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
-from scipy.special import expit
 
 from .curves import PchipCurve, RDCurve, RDPoint, fit_pchip, pchip_from_arrays
 from .errors import InvalidRange, NonFinite, NotEvaluable, TooFewPoints
@@ -61,8 +59,13 @@ MIN_FIT_POINTS = 4
 # (1e-4) to the near-linear limit (1e6).
 _GRID_B3 = 9
 _GRID_B4_SPANS = np.geomspace(1e-4, 1e6, 96)
-# Grid points polished per fit; the winner is then polished once more.
+# Grid points polished per fit.
 _MAX_STARTS = 3
+# Most rss evaluations one polish makes.
+_MAX_NFEV = 400
+# A polish stops once its local model predicts a gain below this share of
+# the rss, which is the rounding level of the rss itself.
+_GAIN_TOL = 1e-15
 
 
 @dataclass(frozen=True)
@@ -91,28 +94,18 @@ class LogisticParams:
         return eval_logistic(self, bitrate_kbps)
 
 
+def _expit(t):
+    """The logistic ``1 / (1 + exp(-t))``, as ``scipy.special.expit``
+    computes it: exactly 0 and 1 where ``exp`` overflows and underflows."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-t))
+
+
 def eval_logistic(params: LogisticParams, bitrate_kbps):
     """Evaluate the logistic at one bitrate or an array of bitrates."""
     x = np.asarray(bitrate_kbps, dtype=float)
-    y = params.beta2 + (params.beta1 - params.beta2) * expit((x - params.beta3) / abs(params.beta4))
+    y = params.beta2 + (params.beta1 - params.beta2) * _expit((x - params.beta3) / abs(params.beta4))
     return float(y) if np.isscalar(bitrate_kbps) or x.ndim == 0 else y
-
-
-def _logistic_residuals(p, x, y):
-    b2, delta, b3, b4 = p
-    return b2 + delta * expit((x - b3) / b4) - y
-
-
-def _logistic_jacobian(p, x, y):
-    _b2, delta, b3, b4 = p
-    s = expit((x - b3) / b4)
-    core = delta * s * (1.0 - s)
-    jac = np.empty((x.size, 4))
-    jac[:, 0] = 1.0
-    jac[:, 1] = s
-    jac[:, 2] = -core / b4
-    jac[:, 3] = -core * (x - b3) / (b4 * b4)
-    return jac
 
 
 def _projected_grid(x, y, b3, b4):
@@ -120,12 +113,13 @@ def _projected_grid(x, y, b3, b4):
 
     For fixed (beta3, beta4) the model is linear in (beta2, delta), so the
     best pair has a closed form: the 2-column least squares on centred
-    data, with ``delta`` clamped at 0.  Returns ``(beta2, delta, rss)``,
-    each of shape ``(b3.size, b4.size)``.  The logistic is taken as
-    ``(1 + tanh(t/2)) / 2``, whose centred values keep their precision for
-    the near-linear shapes of large beta4; the rss is then evaluated in
-    the model's own form, so that a pair which only rounds to a good fit
-    there (a huge ``delta``) is ranked by what the polish will see.
+    data, with ``delta`` clamped at 0.  Returns the rss of that pair at
+    every grid point, of shape ``(b3.size, b4.size)``.  The logistic is
+    taken as ``(1 + tanh(t/2)) / 2``, whose centred values keep their
+    precision for the near-linear shapes of large beta4; the rss is then
+    evaluated in the model's own form, so that a pair which only rounds to
+    a good fit there (a huge ``delta``) is ranked by what the polish will
+    see.
     """
     t = (x - b3[:, None, None]) / b4[:, None]
     h = np.tanh(0.5 * t)
@@ -135,8 +129,8 @@ def _projected_grid(x, y, b3, b4):
     den = np.einsum("ijk,ijk->ij", hc, hc)
     delta = 2.0 * np.divide(np.maximum(num, 0.0), den, out=np.zeros_like(den), where=den > 0)
     b2 = y.mean() - 0.5 * delta * (1.0 + h.mean(axis=-1))
-    r = b2[..., None] + delta[..., None] * expit(t) - y
-    return b2, delta, np.einsum("ijk,ijk->ij", r, r)
+    r = b2[..., None] + delta[..., None] * _expit(t) - y
+    return np.einsum("ijk,ijk->ij", r, r)
 
 
 def _grid_minima(rss: np.ndarray) -> np.ndarray:
@@ -170,6 +164,112 @@ def _grid_starts(rss: np.ndarray) -> list[int]:
     return starts[:_MAX_STARTS]
 
 
+@dataclass(frozen=True)
+class Polish:
+    """One polished start: ``x`` is ``(beta2, delta, beta3, beta4)``,
+    ``rss`` its residual sum of squares in the model's own form and
+    ``nfev`` the number of rss evaluations the polish made."""
+
+    x: tuple[float, float, float, float]
+    rss: float
+    nfev: int
+
+
+def least_squares(x, y, b3, b4, box) -> Polish:
+    """Polish the logistic fit from the start ``(b3, b4)``.
+
+    A damped Newton method on the variable projection (Golub & Pereyra
+    1973): at every ``(beta3, log beta4)`` the pair (beta2, delta >= 0) is
+    solved in closed form, as in :func:`_projected_grid`, and the rss of
+    that projection is minimised over the two nonlinear variables alone,
+    with its exact gradient and Hessian (the Schur complement of the full
+    Hessian, a 2x2 matrix).  ``box`` is ``((beta3_lo, beta3_hi),
+    (beta4_lo, beta4_hi))``: a variable on a bound whose gradient points
+    out of the box is held there, and steps are clipped to it.  The
+    damping follows Nielsen (1999), shifted where the Hessian is not
+    positive definite.
+
+    A step is taken when it lowers the rss in the model's own form
+    ``beta2 + delta * expit(t)``, the one the fit reports; in a
+    near-linear valley (a huge beta4 and delta) that form rounds worse
+    than the projection, and the polish ends where it stops improving.
+    The polish stops when its local model predicts a gain below
+    ``_GAIN_TOL`` of the rss, or after ``_MAX_NFEV`` evaluations.
+    """
+    (b3_lo, b3_hi), (b4_lo, b4_hi) = box
+    w = b3_hi - b3_lo  # th is (beta3 in units of the box width, log beta4)
+    lo = np.array([b3_lo / w, math.log(b4_lo)])
+    hi = np.array([b3_hi / w, math.log(b4_hi)])
+    ym = y.mean()
+    yc = y - ym
+
+    def project(th):
+        """(beta2, delta, beta3, beta4) at ``th``, its model-form rss, half
+        its centred rss, and the terms of the centred residual
+        ``a * hc - yc``."""
+        b3, b4 = th[0] * w, math.exp(th[1])
+        t = (x - b3) / b4
+        h = np.tanh(0.5 * t)
+        hc = h - h.mean()
+        den = hc @ hc
+        a = max(hc @ yc, 0.0) / den if den > 0 else 0.0  # delta / 2
+        b2 = ym - a * (1.0 + h.mean())
+        rm = b2 + 2.0 * a * _expit(t) - y
+        r = a * hc - yc
+        return (b2, 2.0 * a, b3, b4), float(rm @ rm), 0.5 * (r @ r), (t, h, hc, a, r)
+
+    def newton(b4, t, h, hc, a, r):
+        """Gradient and Hessian of half the centred rss in ``th``."""
+        e = w / b4  # dt/dth = (-e, -t)
+        h1 = 0.5 * (1.0 - h * h)  # dh/dt
+        m = h1 - h * h1 * t
+        dh = np.stack([-e * h1, -t * h1])
+        d2h = np.stack([-e * e * h * h1, e * m, t * m])  # th0 th0, th0 th1, th1 th1
+        dh -= dh.mean(axis=1, keepdims=True)
+        d2h -= d2h.mean(axis=1, keepdims=True)
+        dr = dh @ r
+        c = dr + a * (dh @ hc)
+        k = d2h @ r
+        hess = a * a * (dh @ dh.T) + a * np.array([[k[0], k[1]], [k[1], k[2]]]) - np.outer(c, c) / (hc @ hc)
+        return a * dr, hess
+
+    def gain(g, hess, step):
+        """Fall of half the rss that the local model predicts for ``step``."""
+        return -(g @ step + 0.5 * step @ hess @ step)
+
+    th = np.clip([b3 / w, math.log(b4)], lo, hi)
+    fit, rss, half, terms = project(th)
+    nfev = 1
+    lam, nu = 0.0, 2.0
+    while fit[1] > 0:  # with delta = 0 the rss is flat in (beta3, beta4)
+        g, hess = newton(fit[3], *terms)
+        free = ~(((th <= lo) & (g > 0)) | ((th >= hi) & (g < 0)))
+        g, hess = g[free], hess[np.ix_(free, free)]
+        ev, vec = np.linalg.eigh(hess)
+        q = vec.T @ g
+        unit = np.abs(ev).max(initial=0.0) or 1.0
+        shift = max(0.0, 1e-10 * unit - ev.min(initial=np.inf))
+        while True:
+            step = -vec @ (q / (ev + shift + lam))
+            if not gain(g, hess, step) > _GAIN_TOL * half or nfev >= _MAX_NFEV:
+                return Polish(fit, rss, nfev)
+            trial = th.copy()
+            trial[free] += step
+            trial = np.clip(trial, lo, hi)
+            trial_fit, trial_rss, trial_half, trial_terms = project(trial)
+            nfev += 1
+            if trial_rss < rss:
+                taken = gain(g, hess, (trial - th)[free])
+                rho = (half - trial_half) / taken if taken > 0 else 0.0
+                lam *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
+                nu = 2.0
+                th, fit, rss, half, terms = trial, trial_fit, trial_rss, trial_half, trial_terms
+                break
+            lam = max(lam * nu, 1e-3 * unit)
+            nu *= 2.0
+    return Polish(fit, rss, nfev)
+
+
 def fit_logistic(curve: RDCurve) -> LogisticParams:
     """Least-squares logistic fit with the inflection constrained to
     ``[r_min/2, r_min]``.
@@ -181,11 +281,12 @@ def fit_logistic(curve: RDCurve) -> LogisticParams:
     beta4 (geometric over the bitrate span, out to the near-linear limit)
     the pair (beta2, delta) is solved in closed form.  At most
     ``_MAX_STARTS`` grid points (see :func:`_grid_starts`) are polished
-    with bounded trust-region least squares, and the winner is polished
-    once more from its own solution, which restarts the trust region in
-    flat valleys.  The lowest residual wins, ties going to the earlier
-    polish, so the fit is deterministic.  Polishing stops as soon as a
-    fit is numerically exact, which noiseless curves reach in one polish.
+    by :func:`least_squares` inside the grid's box.  The lowest residual
+    wins, ties going to the earlier polish, so the fit is deterministic.
+    Polishing stops as soon as a fit is numerically exact, which
+    noiseless curves reach in one polish.  The qualities are scaled by a
+    power of two first, an exact operation, so that the squares in the
+    polish stay clear of overflow however large the qualities are.
     """
     if len(curve.points) < MIN_FIT_POINTS:
         raise TooFewPoints(f"logistic fit needs >= {MIN_FIT_POINTS} points, got {len(curve.points)}")
@@ -195,46 +296,28 @@ def fit_logistic(curve: RDCurve) -> LogisticParams:
         exact_rss = 1e-16 * max(1.0, float(np.sum(y * y)))
     if not math.isfinite(exact_rss):
         raise NonFinite("qualities are too large: their sum of squares overflows float64")
+    scale = math.ldexp(1.0, -math.frexp(float(np.max(np.abs(y))))[1])
+    y = y * scale
+    exact_rss *= scale * scale
 
     r_min = curve.r_min
-    lower = np.array([-np.inf, 0.0, r_min / 2.0, _BETA4_FLOOR])
-    upper = np.array([np.inf, np.inf, r_min, np.inf])
-
     b3_grid = np.linspace(r_min / 2.0, r_min, _GRID_B3)
     b4_grid = _GRID_B4_SPANS * float(x[-1] - x[0])
-    b2, delta, rss = _projected_grid(x, y, b3_grid, b4_grid)
+    box = ((r_min / 2.0, r_min), (_BETA4_FLOOR, float(b4_grid[-1])))
+    with np.errstate(all="ignore"):
+        best = None
+        for f in _grid_starts(_projected_grid(x, y, b3_grid, b4_grid)):
+            i, j = divmod(f, b4_grid.size)
+            sol = least_squares(x, y, b3_grid[i], b4_grid[j], box)
+            if best is None or sol.rss < best.rss:
+                best = sol
+            if best.rss <= exact_rss:
+                break
 
-    def polish(p0):
-        sol = least_squares(
-            _logistic_residuals,
-            np.clip(p0, lower, upper),
-            jac=_logistic_jacobian,
-            bounds=(lower, upper),
-            args=(x, y),
-            method="trf",
-            xtol=1e-12,
-            ftol=1e-12,
-            gtol=1e-12,
-            max_nfev=400,
-        )
-        return sol.x, float(np.sum(sol.fun * sol.fun))
-
-    best = None
-    best_rss = np.inf
-    for f in _grid_starts(rss):
-        i, j = divmod(f, b4_grid.size)
-        sol, sol_rss = polish(np.array([b2[i, j], delta[i, j], b3_grid[i], b4_grid[j]]))
-        if sol_rss < best_rss:
-            best, best_rss = sol, sol_rss
-        if best_rss <= exact_rss:
-            break
-    if best_rss > exact_rss:
-        sol, sol_rss = polish(best)
-        if sol_rss < best_rss:
-            best, best_rss = sol, sol_rss
-
-    b2, delta, b3, b4 = (float(v) for v in best)
-    return LogisticParams(beta1=b2 + delta, beta2=b2, beta3=b3, beta4=b4, rss=best_rss)
+    b2, delta, b3, b4 = (float(v) for v in best.x)
+    return LogisticParams(
+        beta1=(b2 + delta) / scale, beta2=b2 / scale, beta3=b3, beta4=b4, rss=best.rss / scale / scale
+    )
 
 
 @dataclass(frozen=True)

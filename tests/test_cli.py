@@ -521,19 +521,17 @@ class TestImportBudget:
         log = DATA / "synthetic_quality_log.csv"
         assert self.probe("select-ladder", "--log", log, "--k", 10, "--out", tmp_path / "sel") == []
 
-    def test_fit_loads_no_scipy_stats(self, tmp_path):
+    @pytest.mark.parametrize("command", ["fit", "crossover"])
+    def test_fit_and_crossover_load_no_scipy(self, tmp_path, command):
         points_csv = tmp_path / "scores.csv"
         write_scored_points(points_csv)
-        loaded = self.probe("fit", "--scored-points", points_csv, "--out", tmp_path / "fits")
-        assert "scipy.optimize" in loaded
-        assert "scipy.stats" not in loaded
+        assert self.probe(command, "--scored-points", points_csv, "--out", tmp_path / "o") == []
 
-    def test_fit_loads_no_scipy_integrate(self, tmp_path):
-        points_csv = tmp_path / "scores.csv"
-        write_scored_points(points_csv)
-        loaded = self.probe("fit", "--scored-points", points_csv, "--out", tmp_path / "fits")
-        assert "scipy.optimize" in loaded
-        assert "scipy.integrate" not in loaded
+    def test_simulate_loads_no_scipy(self, tmp_path):
+        out = tmp_path / "sim"
+        log, ladder = DATA / "synthetic_quality_log.csv", DATA / "dynamic_ladder.json"
+        assert self.probe("simulate", "--log", log, "--ladder", ladder, "--out", out) == []
+        assert (out / "rd_fit.json").exists()
 
     def test_bench_rcql_loads_no_scipy_stats(self, tmp_path):
         points_csv = tmp_path / "scores.csv"

@@ -11,6 +11,7 @@ import contextlib
 import csv
 import io as stdio
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -156,3 +157,23 @@ def test_overflowing_qualities_exit_2(command):
     assert code == 2, err.getvalue()
     assert "NonFinite" in err.getvalue()
     assert "Traceback" not in err.getvalue()
+
+
+# Qualities near 1e150: the squares still fit in float64, so every
+# command that fits succeeds, quietly.
+LARGE_QUALITIES = HUGE_QUALITIES.replace(b"e200,", b"e150,")
+
+
+@pytest.mark.parametrize("command", ["fit", "crossover", "bench-rcql"])
+def test_large_qualities_fit_without_warnings(command):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "points.csv"
+        path.write_bytes(LARGE_QUALITIES)
+        err = stdio.StringIO()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with contextlib.redirect_stdout(stdio.StringIO()), contextlib.redirect_stderr(err):
+                code = main([command, "--scored-points", str(path), "--out", str(Path(tmp) / "out")])
+    assert code == 0, err.getvalue()
+    assert err.getvalue() == ""
+    assert [str(w.message) for w in caught] == []

@@ -1,10 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import PchipInterpolator
+from scipy.special import expit
 
 from drskit.errors import InvalidRange, NonFinite, TooFewPoints
 from drskit.rdmodel import (
@@ -14,6 +16,7 @@ from drskit.rdmodel import (
     LogisticParams,
     RDCurve,
     RDPoint,
+    _expit,
     eval_logistic,
     find_crossover,
     fit_logistic,
@@ -108,6 +111,17 @@ class TestFitLogistic:
         with pytest.raises(TooFewPoints):
             fit_logistic(c)
 
+    def test_power_of_two_scaled_qualities_fit_exactly_scaled(self):
+        rng = np.random.default_rng(2)
+        xs = np.geomspace(700, 9000, 8)
+        y = logistic(7, 2, 600, 800, xs) + rng.normal(0, 0.3, xs.size)
+        base = fit_logistic(RDCurve.from_samples(RES, list(zip(xs, y))))
+        for k in (10, 300, 500):
+            f = math.ldexp(1.0, k)
+            got = fit_logistic(RDCurve.from_samples(RES, list(zip(xs, y * f))))
+            assert (got.beta3, got.beta4) == (base.beta3, base.beta4)
+            assert (got.beta1, got.beta2, got.rss) == (base.beta1 * f, base.beta2 * f, base.rss * f * f)
+
     def test_beta3_stays_in_box(self):
         rng = np.random.default_rng(3)
         for _ in range(10):
@@ -133,6 +147,30 @@ class TestFitLogistic:
         params = fit_logistic(c)
         assert params.beta1 >= params.beta2
         assert params.beta4 > 0
+
+
+class TestExpit:
+    """The numpy logistic against ``scipy.special.expit``, which it replaced."""
+
+    def test_dense_grid_within_4_ulps(self):
+        # Both compute 1 / (1 + exp(-t)); numpy's exp and the C library's
+        # differ by an ulp on some arguments, which the division can grow
+        # to 4 ulps (measured: 4, near t = -36.8, where 1 + exp(-t) rounds).
+        t = np.linspace(-800.0, 800.0, 1_000_001)
+        got, want = _expit(t), expit(t)
+        ulps = np.abs(got - want) / np.spacing(np.maximum(np.abs(got), np.abs(want)))
+        assert ulps.max() <= 4.0
+        saturated = (want == 0.0) | (want == 1.0)
+        assert saturated.sum() > 500_000
+        assert np.array_equal(got[saturated], want[saturated])
+
+    @pytest.mark.parametrize("t", [-750.0, 750.0, -710.0, 710.0, -np.inf, np.inf, 0.0, -0.0, 1e-300, -1e-300])
+    def test_saturated_and_central_values_exact(self, t):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _expit(np.float64(t))
+        assert got == expit(np.float64(t))
+        assert got == _expit(np.array([t]))[0]
 
 
 class TestEvalLogistic:
