@@ -521,6 +521,21 @@ class TestImportBudget:
         log = DATA / "synthetic_quality_log.csv"
         assert self.probe("select-ladder", "--log", log, "--k", 10, "--out", tmp_path / "sel") == []
 
+    @pytest.fixture(scope="class")
+    def fit_loaded(self, tmp_path_factory):
+        tmp_path = tmp_path_factory.mktemp("fit_probe")
+        points_csv = tmp_path / "scores.csv"
+        write_scored_points(points_csv)
+        return self.probe("fit", "--scored-points", points_csv, "--out", tmp_path / "fits")
+
+    def test_fit_loads_no_scipy_stats(self, fit_loaded):
+        assert "scipy.stats" not in fit_loaded
+        assert "scipy.optimize" not in fit_loaded
+
+    def test_fit_loads_no_scipy_integrate(self, fit_loaded):
+        assert "scipy.integrate" not in fit_loaded
+        assert "scipy.optimize" not in fit_loaded
+
     @pytest.mark.parametrize("command", ["fit", "crossover"])
     def test_fit_and_crossover_load_no_scipy(self, tmp_path, command):
         points_csv = tmp_path / "scores.csv"
