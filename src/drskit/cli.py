@@ -12,6 +12,7 @@ import argparse
 import sys
 import traceback
 from collections import defaultdict
+from dataclasses import asdict
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -166,19 +167,8 @@ def cmd_fit(args, argv) -> int:
             curve = curves[content][res]
             if len(curve.points) < MIN_FIT_POINTS:
                 continue
-            params = fit_logistic(curve)
-            fits.append(
-                {
-                    "content_id": content,
-                    "resolution": list(res),
-                    "n_points": len(curve.points),
-                    "beta1": params.beta1,
-                    "beta2": params.beta2,
-                    "beta3": params.beta3,
-                    "beta4": params.beta4,
-                    "rss": params.rss,
-                }
-            )
+            params = asdict(fit_logistic(curve))
+            fits.append({"content_id": content, "resolution": list(res), "n_points": len(curve.points), **params})
     if not fits:
         raise InputError(f"no (content, resolution) group has the {MIN_FIT_POINTS}+ points needed for a fit")
     out = Path(args.out)
@@ -224,18 +214,7 @@ def cmd_crossover(args, argv) -> int:
                 io.format_resolution(lo_res),
                 io.format_resolution(hi_res),
             )
-            results.append(
-                {
-                    "content_id": content,
-                    "lower_curve": xover.lower_curve,
-                    "higher_curve": xover.higher_curve,
-                    "status": xover.status,
-                    "bitrate_kbps": xover.bitrate_kbps,
-                    "range_lo": xover.range_lo,
-                    "range_hi": xover.range_hi,
-                    "n_crossings": xover.n_crossings,
-                }
-            )
+            results.append({"content_id": content, **asdict(xover)})
     if not results:
         raise InputError("no resolution pair had two fittable curves")
     out = Path(args.out)
@@ -326,17 +305,7 @@ def cmd_simulate(args, argv) -> int:
     # Per-rung mean points feed the BD computation directly (PCHIP); a
     # logistic fit of the same points is emitted alongside for plotting.
     if len(drs_curve.points) >= MIN_FIT_POINTS:
-        fitted = fit_logistic(drs_curve)
-        io.write_json(
-            out / "rd_fit.json",
-            {
-                "beta1": fitted.beta1,
-                "beta2": fitted.beta2,
-                "beta3": fitted.beta3,
-                "beta4": fitted.beta4,
-                "rss": fitted.rss,
-            },
-        )
+        io.write_json(out / "rd_fit.json", asdict(fit_logistic(drs_curve)))
 
     if args.baseline:
         baseline_ladder = io.load_ladder_or_solution(args.baseline, args.units)
@@ -352,15 +321,7 @@ def _write_bd_and_gains(out: Path, baseline_trace, drs_trace) -> None:
     from .drs import bd_rate, gain_distribution, trace_rd_points
 
     bd = bd_rate(trace_rd_points(baseline_trace), trace_rd_points(drs_trace))
-    io.write_json(
-        out / "bd_report.json",
-        {
-            "bd_rate_percent": bd.bd_rate_percent,
-            "bd_quality": bd.bd_quality,
-            "quality_overlap": list(bd.quality_overlap),
-            "log_rate_overlap": list(bd.log_rate_overlap),
-        },
-    )
+    io.write_json(out / "bd_report.json", asdict(bd))
     gains_summary = {}
     for b in baseline_trace.rungs:
         stats = gain_distribution(baseline_trace, drs_trace, b)
@@ -452,17 +413,7 @@ def cmd_gfs(args, argv) -> int:
         base_features=_base_features(args),
     )
     out = Path(args.out)
-    io.write_json(
-        out / "gfs_result.json",
-        {
-            "objective": result.objective,
-            "selected": list(result.selected),
-            "steps": [
-                {"feature": s.feature, "score": s.score, "candidate_scores": s.candidate_scores}
-                for s in result.steps
-            ],
-        },
-    )
+    io.write_json(out / "gfs_result.json", asdict(result))
     _echo_config(out, "gfs", argv, args)
     print(f"selected {len(result.selected)} features: {', '.join(result.selected) or '(none)'}")
     return 0

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import dataclasses
 import functools
 import gc
 import json
@@ -383,15 +384,7 @@ def solution_to_dict(solution: LadderSolution) -> dict:
     return {
         "selected": [{"bitrate_kbps": b, "resolution": list(r)} for b, r in solution.selected],
         "objective": solution.objective,
-        "trace": [
-            {
-                "bitrate_kbps": s.bitrate_kbps,
-                "resolution": list(s.resolution),
-                "gain": s.gain,
-                "objective": s.objective,
-            }
-            for s in solution.trace
-        ],
+        "trace": [dataclasses.asdict(s) for s in solution.trace],
     }
 
 
@@ -441,18 +434,7 @@ def load_bandwidth_samples(path, units: str = "kbps") -> list[float]:
 
 
 def manifest_to_dict(manifest) -> dict:
-    return {
-        "segment_index": manifest.segment_index,
-        "entries": [
-            {
-                "bitrate_kbps": e.bitrate_kbps,
-                "resolution": list(e.resolution),
-                "locator": e.locator,
-                "quality_score": e.quality_score,
-            }
-            for e in manifest.entries
-        ],
-    }
+    return dataclasses.asdict(manifest)
 
 
 def save_manifest(path, manifest) -> None:
@@ -500,46 +482,30 @@ def write_probability_csv(path, table: ProbabilityTable) -> None:
             writer.writerow([repr(float(b))] + [repr(float(v)) for v in table.probabilities[j]])
 
 
-def write_rcql_csv(rows_path, pairs_path, report: RcqlReport) -> None:
-    with open(rows_path, "w", encoding="utf-8", newline="") as fh:
+def _csv_cell(v) -> str:
+    """One CSV cell: None and NaN empty, a bool 0/1, a float as its repr."""
+    if v is None:
+        return ""
+    if isinstance(v, bool):
+        return str(int(v))
+    if isinstance(v, float):
+        return "" if math.isnan(v) else float.__repr__(v)
+    return str(v)
+
+
+def _write_records_csv(path, cls, records) -> None:
+    """A header of the dataclass ``cls``'s field names, then one row per record."""
+    names = [f.name for f in dataclasses.fields(cls)]
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "pair",
-                "content_id",
-                "delta_bitrate_kbps",
-                "rcql_s",
-                "rcql_avg",
-                "acc_percent",
-                "ql_jod",
-                "subj_status",
-                "obj_status",
-                "subj_xover_kbps",
-                "obj_xover_kbps",
-                "range_lo",
-                "range_hi",
-                "endpoint_fallback",
-            ]
-        )
-        for r in report.rows:
-            writer.writerow(
-                [
-                    r.pair,
-                    r.content_id,
-                    repr(r.delta_bitrate_kbps),
-                    repr(r.rcql_s),
-                    repr(r.rcql_avg),
-                    "" if r.acc_percent is None else repr(r.acc_percent),
-                    "" if r.ql_jod is None else repr(r.ql_jod),
-                    r.subj_status,
-                    r.obj_status,
-                    "" if r.subj_xover_kbps is None else repr(r.subj_xover_kbps),
-                    "" if r.obj_xover_kbps is None else repr(r.obj_xover_kbps),
-                    repr(r.range_lo),
-                    repr(r.range_hi),
-                    int(r.endpoint_fallback),
-                ]
-            )
+        writer.writerow(names)
+        writer.writerows([_csv_cell(getattr(r, n)) for n in names] for r in records)
+
+
+def write_rcql_csv(rows_path, pairs_path, report: RcqlReport) -> None:
+    from .rcql import PairContentRow
+
+    _write_records_csv(rows_path, PairContentRow, report.rows)
     with open(pairs_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["pair", "metric", "value"])
@@ -678,9 +644,6 @@ def write_histogram_csv(path, bin_left, bin_right, counts) -> None:
 
 
 def write_cv_rows_csv(path, result) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["run", "fold", "content_id", "n_records", "srocc", "rmse"])
-        for r in result.rows:
-            srocc = "" if np.isnan(r.srocc) else repr(r.srocc)
-            writer.writerow([r.run, r.fold, r.content_id, r.n_records, srocc, repr(r.rmse)])
+    from .protocol import CvRow
+
+    _write_records_csv(path, CvRow, result.rows)

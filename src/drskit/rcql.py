@@ -34,6 +34,7 @@ from .errors import (
     NotEvaluable,
 )
 from .rdmodel import (
+    BISECT_TOL_KBPS,
     MIN_FIT_POINTS,
     CrossOverResult,
     LogisticParams,
@@ -86,7 +87,7 @@ def delta_bitrate(subjective_xover: CrossOverResult, objective_xover: CrossOverR
 
 
 def _crossings_between(f_low, f_high, a: float, b: float) -> list[float]:
-    """Sign changes of f_high - f_low on (a, b), a < b, more than the 1e-6 kbps bisection tolerance from both ends."""
+    """Sign changes of f_high - f_low on (a, b), a < b, more than the bisection tolerance from both ends."""
     if not (math.isfinite(a) and math.isfinite(b)) or a <= 0:
         raise InvalidRange(f"invalid search range [{a}, {b}]")
     grid = np.linspace(a, b, 4096)
@@ -94,7 +95,7 @@ def _crossings_between(f_low, f_high, a: float, b: float) -> list[float]:
     roots = []
     for i, j in zip(*sign_flips(np.sign(diff))):
         res = find_crossover(f_low, f_high, (grid[i], grid[j]), scan_samples=64)
-        if res.has_bitrate and min(res.bitrate_kbps - a, b - res.bitrate_kbps) > 1e-6:
+        if res.has_bitrate and min(res.bitrate_kbps - a, b - res.bitrate_kbps) > BISECT_TOL_KBPS:
             roots.append(res.bitrate_kbps)
     return roots
 

@@ -38,6 +38,7 @@ __all__ = [
     "STATUS_NONE",
     "STATUS_MULTIPLE",
     "MIN_FIT_POINTS",
+    "BISECT_TOL_KBPS",
     "fit_logistic",
     "eval_logistic",
     "fit_pchip",
@@ -50,6 +51,9 @@ STATUS_MULTIPLE = "multiple_resolved"
 
 # Smallest admissible slope scale; keeps the logistic evaluable.
 _BETA4_FLOOR = 1e-9
+
+# Width to which find_crossover narrows a bracketed root.
+BISECT_TOL_KBPS = 1e-6
 
 # Fewest samples a logistic fit takes: one per parameter.
 MIN_FIT_POINTS = 4
@@ -301,8 +305,14 @@ def fit_logistic(curve: RDCurve) -> LogisticParams:
     exact_rss *= scale * scale
 
     r_min = curve.r_min
+    with np.errstate(over="ignore"):
+        b4_grid = _GRID_B4_SPANS * float(x[-1] - x[0])
+    if not (r_min / 2.0 > 0 and b4_grid[0] > 0 and math.isfinite(b4_grid[-1])):
+        raise NonFinite(
+            f"bitrates {x[0]!r}..{x[-1]!r} kbps are out of range: r_min/2 or the beta4 box "
+            "(1e-4 to 1e6 bitrate spans) is not finite and positive"
+        )
     b3_grid = np.linspace(r_min / 2.0, r_min, _GRID_B3)
-    b4_grid = _GRID_B4_SPANS * float(x[-1] - x[0])
     box = ((r_min / 2.0, r_min), (_BETA4_FLOOR, float(b4_grid[-1])))
     with np.errstate(all="ignore"):
         best = None
@@ -375,15 +385,14 @@ def find_crossover(
     low_label: str = "low",
     high_label: str = "high",
     scan_samples: int = 32768,
-    bisect_tol_kbps: float = 1e-6,
 ) -> CrossOverResult:
     """Locate where ``high``'s quality overtakes ``low``'s.
 
     Both arguments may be fitted parameter sets, interpolants, or plain
     callables of bitrate.  The difference is scanned on a uniform grid to
-    bracket sign changes, then each bracket is narrowed by bisection.
-    Touching without crossing, or an identically-zero difference, yields
-    status ``none``.
+    bracket sign changes, then each bracket is narrowed by bisection to a
+    width of ``BISECT_TOL_KBPS``.  Touching without crossing, or an
+    identically-zero difference, yields status ``none``.
     """
     lo, hi = float(search_range[0]), float(search_range[1])
     if not (math.isfinite(lo) and math.isfinite(hi)) or not lo < hi or lo <= 0:
@@ -403,7 +412,7 @@ def find_crossover(
 
     a, b = grid[a_idx[0]], grid[b_idx[0]]
     ga = g(a)
-    while b - a > bisect_tol_kbps:
+    while b - a > BISECT_TOL_KBPS:
         mid = 0.5 * (a + b)
         gm = g(mid)
         if gm == 0.0:
@@ -413,7 +422,7 @@ def find_crossover(
             a, ga = mid, gm
         else:
             b = mid
-    root = 0.5 * (a + b)
+    root = float(0.5 * (a + b))
 
     n_brackets = int(a_idx.size)
     status = STATUS_FOUND if n_brackets == 1 else STATUS_MULTIPLE

@@ -35,6 +35,16 @@ def write_scored_points(path, objective="copy"):
         w.writerows(rows)
 
 
+def assert_numeric_cells(rows, skip):
+    """Every cell of a CSV table (header first) outside the ``skip``
+    columns is empty or a plain number."""
+    header, *body = rows
+    for row in body:
+        for name, cell in zip(header, row):
+            if name not in skip and cell:
+                float(cell)  # raises on np.float64(...) and other non-numbers
+
+
 def write_feature_csv(path, n_contents=4, per_content=10, seed=0):
     rng = np.random.default_rng(seed)
     with open(path, "w", newline="") as fh:
@@ -103,7 +113,15 @@ class TestBenchRcql:
         for row in report["rows"]:
             assert row["acc_percent"] == 100.0
             assert row["ql_jod"] == 0.0
-        assert (out / "rcql_rows.csv").exists()
+        with open(out / "rcql_rows.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == [
+            "pair", "content_id", "delta_bitrate_kbps", "rcql_s", "rcql_avg", "acc_percent", "ql_jod",
+            "subj_status", "obj_status", "subj_xover_kbps", "obj_xover_kbps", "range_lo", "range_hi",
+            "endpoint_fallback",
+        ]
+        assert len(rows) == 1 + len(report["rows"])
+        assert_numeric_cells(rows, skip=("pair", "content_id", "subj_status", "obj_status"))
         assert (out / "rcql_pairs.csv").exists()
 
     def test_matches_library_exactly(self, tmp_path):
@@ -140,6 +158,7 @@ class TestFitAndCrossover:
         doc = json.loads((out / "fits.json").read_text())
         assert len(doc["fits"]) == 4  # 2 contents x 2 resolutions
         for f in doc["fits"]:
+            assert set(f) == {"content_id", "resolution", "n_points", "beta1", "beta2", "beta3", "beta4", "rss"}
             assert f["beta4"] > 0
             assert f["beta1"] >= f["beta2"]
 
@@ -159,6 +178,22 @@ class TestFitAndCrossover:
         assert "NonFinite" in result.stderr and "overflows" in result.stderr
         assert "Traceback" not in result.stderr
 
+    @pytest.mark.parametrize(
+        "bitrates",
+        [("1", "1e300", "1.5e308", "1.7e308"), ("5e-324", "1e-323", "1.5e-323", "2e-323")],
+        ids=["beta4-box-overflows", "r_min-half-underflows"],
+    )
+    def test_fit_bitrates_at_the_ends_of_float64_exit_code(self, tmp_path, capsys, bitrates):
+        points_csv = tmp_path / "extreme.csv"
+        points_csv.write_text(
+            "content_id,resolution,bitrate_kbps,subjective_jod,objective_score\n"
+            + "".join(f"a,1920x1080,{b},{i},{i}\n" for i, b in enumerate(bitrates, start=1))
+        )
+        assert run_cli("fit", "--scored-points", points_csv, "--out", tmp_path / "o") == 2
+        err = capsys.readouterr().err
+        assert "error: NonFinite" in err
+        assert "Traceback" not in err
+
     def test_crossover_outputs(self, tmp_path):
         points_csv = tmp_path / "scores.csv"
         write_scored_points(points_csv)
@@ -167,6 +202,10 @@ class TestFitAndCrossover:
         doc = json.loads((out / "crossovers.json").read_text())
         assert len(doc["crossovers"]) == 2
         for row in doc["crossovers"]:
+            assert set(row) == {
+                "content_id", "lower_curve", "higher_curve", "status", "bitrate_kbps", "range_lo", "range_hi",
+                "n_crossings",
+            }
             assert row["status"] in ("found", "none", "multiple_resolved")
 
 
@@ -197,6 +236,10 @@ class TestSelectLadder:
         doc = json.loads((out / "ladder_solution.json").read_text())
         assert len(doc["selected"]) <= 10
         assert len({e["bitrate_kbps"] for e in doc["selected"]}) == 8
+        assert set(doc) == {"selected", "objective", "trace"}
+        assert doc["trace"]
+        for step in doc["trace"]:
+            assert set(step) == {"bitrate_kbps", "resolution", "gain", "objective"}
         assert (out / "ladder.json").exists()
 
     def test_infeasible_k_exit_code(self, tmp_path, capsys):
@@ -258,7 +301,10 @@ class TestSimulate:
             == 0
         )
         assert (out / "trace.json").read_bytes() == (DATA / "golden_trace.json").read_bytes()
+        rd_fit = json.loads((out / "rd_fit.json").read_text())
+        assert set(rd_fit) == {"beta1", "beta2", "beta3", "beta4", "rss"}
         bd = json.loads((out / "bd_report.json").read_text())
+        assert set(bd) == {"bd_rate_percent", "bd_quality", "quality_overlap", "log_rate_overlap"}
         assert bd["bd_quality"] >= 0.0
         assert bd["bd_rate_percent"] <= 0.0
         assert (out / "gains_summary.json").exists()
@@ -332,9 +378,11 @@ class TestModelCommands:
         write_feature_csv(feats, n_contents=2, per_content=8)
         out = tmp_path / "cv"
         assert run_cli("cv", "--features", feats, "--folds", 2, "--runs", 1, "--out", out, "--trees", 4) == 0
-        with open(out / "cv_rows.csv") as fh:
-            rows = list(csv.DictReader(fh))
-        assert len(rows) == 2  # 2 contents x 2 folds x 1 run -> one row per held-out content
+        with open(out / "cv_rows.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["run", "fold", "content_id", "n_records", "srocc", "rmse"]
+        assert len(rows) == 1 + 2  # 2 contents x 2 folds x 1 run -> one row per held-out content
+        assert_numeric_cells(rows, skip=("content_id",))
 
     def test_gfs_selects_signal(self, tmp_path):
         feats = tmp_path / "features.csv"
@@ -354,6 +402,8 @@ class TestModelCommands:
         )
         doc = json.loads((out / "gfs_result.json").read_text())
         assert doc["selected"][0] == "f_signal"
+        assert set(doc) == {"objective", "selected", "steps"}
+        assert set(doc["steps"][0]) == {"feature", "score", "candidate_scores"}
 
     @pytest.mark.parametrize("command", ["train", "cv", "gfs"])
     @pytest.mark.parametrize(

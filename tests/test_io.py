@@ -272,8 +272,11 @@ class TestManifestJson:
         out = tmp_path / "manifest.json"
         io.save_manifest(out, manifest)
         doc = json.loads(out.read_text())
+        assert set(doc) == {"segment_index", "entries"}
         assert doc["segment_index"] == 4
         assert len(doc["entries"]) == 2
+        for entry in doc["entries"]:
+            assert set(entry) == {"bitrate_kbps", "resolution", "locator", "quality_score"}
         assert doc["entries"][0]["locator"] == "b.m4s"  # best score at rung 1000
 
     def test_metadata_requires_entries(self, tmp_path):
