@@ -3,9 +3,7 @@ quality models, ladder optimization and resolution-switching simulation.
 
 Submodules and the names below are imported on first access (PEP 562),
 so ``import drskit`` and each CLI command load only the modules they
-use.  Only ``rcql`` loads scipy (close to a second under ``python -X
-importtime``); every other module, ``rdmodel``, ``vqm`` and ``protocol``
-included, needs numpy alone.
+use.  Every module needs numpy alone; scipy is only the tests' oracle.
 """
 
 from importlib import import_module as _import_module

@@ -20,7 +20,7 @@ import numpy as np
 
 # Only modules that every command needs are imported here.  Each command
 # imports the modules it alone uses in its body and pays for them only
-# when it runs; rcql loads scipy, about half a second of start-up.
+# when it runs.
 from . import __version__, io
 from .avc.features import extract_gop_features
 from .errors import InputError, ToolkitError

@@ -39,7 +39,7 @@ from .vqm import FeatureSchema, GopRecord
 
 if TYPE_CHECKING:
     from .curves import ScoredPoint
-    from .rcql import RcqlReport  # rcql imports scipy
+    from .rcql import RcqlReport  # only bench-rcql loads rcql
 
 __all__ = [
     "QUALITY_LOG_COLUMNS",

@@ -17,12 +17,13 @@ well the metric reproduces subjective resolution cross-over behaviour:
 
 from __future__ import annotations
 
+import functools
+import importlib
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate
 
 from .corr import pearson, spearman
 from .curves import ScoredPoint
@@ -39,7 +40,6 @@ from .rdmodel import (
     CrossOverResult,
     LogisticParams,
     RDCurve,
-    _as_evaluator,
     find_crossover,
     fit_logistic,
     sign_flips,
@@ -78,12 +78,8 @@ def delta_bitrate(subjective_xover: CrossOverResult, objective_xover: CrossOverR
             f"cross-overs evaluated on different pairs: "
             f"{s.lower_curve}/{s.higher_curve} vs {o.lower_curve}/{o.higher_curve}"
         )
-    if s.has_bitrate and o.has_bitrate:
-        return abs(s.bitrate_kbps - o.bitrate_kbps)
-    if not s.has_bitrate and not o.has_bitrate:
-        return 0.0
-    b = s.bitrate_kbps if s.has_bitrate else o.bitrate_kbps
-    return min(b - s.range_lo, s.range_hi - b)
+    interval = _effective_interval(s, o)
+    return 0.0 if interval is None else abs(interval[0] - interval[1])
 
 
 def _crossings_between(f_low, f_high, a: float, b: float) -> list[float]:
@@ -100,14 +96,39 @@ def _crossings_between(f_low, f_high, a: float, b: float) -> list[float]:
     return roots
 
 
-def rcql_s(subjective_low_fit, subjective_high_fit, subj_xover_kbps: float, obj_xover_kbps: float) -> float:
-    """Integral of the absolute quality gap between the two subjective
-    curves over the interval spanned by the two cross-over bitrates.
+def _softplus_diff(a: float, d: float) -> float:
+    """``softplus(a + d) - softplus(a)`` for ``d >= 0``, where ``softplus(t) =
+    log(1 + exp(t))``, with neither overflow nor cancellation."""
+    if d < 1.0:  # exactly log1p(expm1(d) * sigmoid(a))
+        return math.log1p(math.expm1(d) * math.exp(min(a, 0.0)) / (1.0 + math.exp(-abs(a))))
+    # softplus(t) = max(t, 0) + log1p(exp(-|t|)), and the max parts differ by clip(a + d, 0, d)
+    return min(max(a + d, 0.0), d) + math.log1p(math.exp(-abs(a + d))) - math.log1p(math.exp(-abs(a)))
 
-    Adaptive quadrature to 1e-8 relative error; the interval is split at
-    interior crossings of the gap so each piece is smooth and one-signed.
-    Returns 0 for an empty interval.
+
+def _rise_integral(p: LogisticParams, lo: float, hi: float) -> float:
+    """Integral over [lo, hi] of the logistic less its low asymptote."""
+    return (p.beta1 - p.beta2) * p.beta4 * _softplus_diff((lo - p.beta3) / p.beta4, (hi - lo) / p.beta4)
+
+
+def rcql_s(
+    subjective_low_fit: LogisticParams,
+    subjective_high_fit: LogisticParams,
+    subj_xover_kbps: float,
+    obj_xover_kbps: float,
+) -> float:
+    """Integral of the absolute quality gap between the two subjective
+    logistic fits over the interval spanned by the two cross-over bitrates.
+
+    The interval is split at interior crossings of the gap, so each piece
+    is one-signed and is integrated exactly through the logistic's
+    antiderivative ``beta2 * x + delta * beta4 * softplus((x - beta3) /
+    beta4)``.  Returns 0 for an empty interval.  A fit that is not a
+    :class:`LogisticParams` is not evaluable.
     """
+    low, high = subjective_low_fit, subjective_high_fit
+    for fit in (low, high):
+        if not isinstance(fit, LogisticParams):
+            raise NotEvaluable(f"object of type {type(fit).__name__} is not a logistic fit")
     for v in (subj_xover_kbps, obj_xover_kbps):
         if v is None or not math.isfinite(v):
             raise NotEvaluable(f"cross-over bitrate is not evaluable: {v!r}")
@@ -115,16 +136,10 @@ def rcql_s(subjective_low_fit, subjective_high_fit, subj_xover_kbps: float, obj_
     if a == b:
         return 0.0
 
-    f_low = _as_evaluator(subjective_low_fit)
-    f_high = _as_evaluator(subjective_high_fit)
-
-    cuts = [a] + _crossings_between(f_low, f_high, a, b) + [b]
+    cuts = [a] + _crossings_between(low.evaluate, high.evaluate, a, b) + [b]
     total = 0.0
     for lo, hi in zip(cuts, cuts[1:]):
-        piece, _err = integrate.quad(
-            lambda x: float(f_high(x)) - float(f_low(x)), lo, hi, epsrel=1e-10, epsabs=1e-12, limit=200
-        )
-        total += abs(piece)
+        total += abs((high.beta2 - low.beta2) * (hi - lo) + _rise_integral(high, lo, hi) - _rise_integral(low, lo, hi))
     if not math.isfinite(total):
         raise NotEvaluable("quality gap integral did not evaluate to a finite value")
     return total
@@ -296,14 +311,10 @@ def build_report(
     if pairs is None:
         pairs = list(zip(all_res, all_res[1:]))
 
-    # A resolution shared by two pairs is fitted once per score column.
-    fits: dict[tuple[str, tuple[int, int], str], LogisticParams] = {}
-
-    def fitted(content: str, res: tuple[int, int], recs: list[ScoredPoint], column: str) -> LogisticParams:
-        key = (content, res, column)
-        if key not in fits:
-            fits[key] = fit_logistic(RDCurve.from_samples(res, [(p.bitrate_kbps, getattr(p, column)) for p in recs]))
-        return fits[key]
+    @functools.cache  # a resolution shared by two pairs is fitted once per score column
+    def fitted(content: str, res: tuple[int, int], column: str) -> LogisticParams:
+        samples = [(p.bitrate_kbps, getattr(p, column)) for p in by_content[content][res]]
+        return fit_logistic(RDCurve.from_samples(res, samples))
 
     rows: list[PairContentRow] = []
     skipped: list[str] = []
@@ -325,10 +336,10 @@ def build_report(
                 skipped.append(f"{label}/{content}: no overlapping bitrate range")
                 continue
 
-            subj_lo = fitted(content, res_lo, lo_recs, "subjective_jod")
-            subj_hi = fitted(content, res_hi, hi_recs, "subjective_jod")
-            obj_lo = fitted(content, res_lo, lo_recs, "objective_score")
-            obj_hi = fitted(content, res_hi, hi_recs, "objective_score")
+            subj_lo = fitted(content, res_lo, "subjective_jod")
+            subj_hi = fitted(content, res_hi, "subjective_jod")
+            obj_lo = fitted(content, res_lo, "objective_score")
+            obj_hi = fitted(content, res_hi, "objective_score")
 
             lo_label = f"{res_lo[0]}x{res_lo[1]}"
             hi_label = f"{res_hi[0]}x{res_hi[1]}"
@@ -393,3 +404,10 @@ def build_report(
     obj = [p.objective_score for p in points]
     srocc, plcc = correlations(subj, obj)
     return RcqlReport(tuple(rows), pair_summary, srocc, plcc, tuple(skipped))
+
+
+def __getattr__(name: str):
+    # perfbench/tracer.py wraps quad through ``rcql.integrate``; scipy loads only when that is read.
+    if name != "integrate":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return importlib.import_module("scipy.integrate")

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import subprocess
@@ -529,6 +530,11 @@ code = main(sys.argv[1:]) if len(sys.argv) > 1 else 0
 print(json.dumps({"code": code, "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
 """
 
+SUBCOMMANDS = [
+    "extract-features", "fit", "crossover", "bench-rcql", "analyze-gops", "select-ladder", "simulate", "train",
+    "cv", "gfs", "report", "replay",
+]
+
 # Every public name the package exported when it imported all submodules.
 PACKAGE_EXPORTS = {
     "BdResult", "CrossOverResult", "CvConfig", "DrsTrace", "FeatureSchema", "ForestModel", "GopRecord",
@@ -551,6 +557,56 @@ class TestImportBudget:
         assert doc["code"] == 0
         return doc["scipy"]
 
+    @pytest.fixture(scope="class")
+    def probe_dir(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("import_probe")
+
+    @pytest.fixture(scope="class")
+    def loaded(self, probe_dir):
+        """The scipy modules each subcommand loads, probed once per command."""
+        tmp = probe_dir
+        points, features, stream = tmp / "scores.csv", tmp / "features.csv", tmp / "clip.264"
+        write_scored_points(points)
+        write_feature_csv(features)
+        stream.write_bytes(simple_gop_stream(n_gops=2, p_per_gop=29, nal_bytes_each=500))
+        log, ladder, golden = DATA / "synthetic_quality_log.csv", DATA / "dynamic_ladder.json", DATA / "golden_trace.json"
+        forest = ["--folds", 2, "--runs", 1, "--trees", 3]
+        argv = {
+            "extract-features": ["extract-features", stream, "--fps", 30, "--out", tmp / "features_out.csv"],
+            "fit": ["fit", "--scored-points", points],
+            "crossover": ["crossover", "--scored-points", points],
+            "bench-rcql": ["bench-rcql", "--scored-points", points],
+            "analyze-gops": ["analyze-gops", "--log", log],
+            "select-ladder": ["select-ladder", "--log", log, "--k", 10],
+            "simulate": ["simulate", "--log", log, "--ladder", ladder],
+            "train": ["train", "--features", features, "--trees", 3],
+            "cv": ["cv", "--features", features, *forest],
+            "gfs": ["gfs", "--features", features, *forest],
+            "report": ["report", "--baseline-trace", golden, "--drs-trace", golden],
+        }
+        argv = {c: a if c == "extract-features" else [*a, "--out", tmp / c] for c, a in argv.items()}
+        config = tmp / "bench-rcql.run_config.json"
+        config.write_text(json.dumps({"tool": "drskit", "argv": [str(a) for a in argv["bench-rcql"]]}))
+        argv["replay"] = ["replay", config]
+        found = {}
+
+        def scipy_of(command):
+            if command not in found:
+                found[command] = self.probe(*argv[command])
+            return found[command]
+
+        return scipy_of
+
+    def test_every_subcommand_is_probed(self):
+        from drskit.cli import _build_parser
+
+        (sub,) = [a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        assert sorted(sub.choices) == sorted(SUBCOMMANDS)
+
+    @pytest.mark.parametrize("command", SUBCOMMANDS)
+    def test_command_loads_no_scipy(self, loaded, command):
+        assert loaded(command) == []
+
     def test_cli_import_loads_no_scipy(self):
         assert self.probe() == []
 
@@ -567,54 +623,33 @@ class TestImportBudget:
         result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
         assert result.stdout.splitlines()[-1] == "[]"
 
-    def test_select_ladder_loads_no_scipy(self, tmp_path):
-        log = DATA / "synthetic_quality_log.csv"
-        assert self.probe("select-ladder", "--log", log, "--k", 10, "--out", tmp_path / "sel") == []
+    # The per-command checks below overlap test_command_loads_no_scipy and
+    # read its probes; they stay under their own names.
+    def test_select_ladder_loads_no_scipy(self, loaded):
+        assert loaded("select-ladder") == []
 
-    @pytest.fixture(scope="class")
-    def fit_loaded(self, tmp_path_factory):
-        tmp_path = tmp_path_factory.mktemp("fit_probe")
-        points_csv = tmp_path / "scores.csv"
-        write_scored_points(points_csv)
-        return self.probe("fit", "--scored-points", points_csv, "--out", tmp_path / "fits")
+    def test_fit_loads_no_scipy_stats(self, loaded):
+        assert "scipy.stats" not in loaded("fit")
+        assert "scipy.optimize" not in loaded("fit")
 
-    def test_fit_loads_no_scipy_stats(self, fit_loaded):
-        assert "scipy.stats" not in fit_loaded
-        assert "scipy.optimize" not in fit_loaded
-
-    def test_fit_loads_no_scipy_integrate(self, fit_loaded):
-        assert "scipy.integrate" not in fit_loaded
-        assert "scipy.optimize" not in fit_loaded
+    def test_fit_loads_no_scipy_integrate(self, loaded):
+        assert "scipy.integrate" not in loaded("fit")
+        assert "scipy.optimize" not in loaded("fit")
 
     @pytest.mark.parametrize("command", ["fit", "crossover"])
-    def test_fit_and_crossover_load_no_scipy(self, tmp_path, command):
-        points_csv = tmp_path / "scores.csv"
-        write_scored_points(points_csv)
-        assert self.probe(command, "--scored-points", points_csv, "--out", tmp_path / "o") == []
+    def test_fit_and_crossover_load_no_scipy(self, loaded, command):
+        assert loaded(command) == []
 
-    def test_simulate_loads_no_scipy(self, tmp_path):
-        out = tmp_path / "sim"
-        log, ladder = DATA / "synthetic_quality_log.csv", DATA / "dynamic_ladder.json"
-        assert self.probe("simulate", "--log", log, "--ladder", ladder, "--out", out) == []
-        assert (out / "rd_fit.json").exists()
-
-    def test_bench_rcql_loads_no_scipy_stats(self, tmp_path):
-        points_csv = tmp_path / "scores.csv"
-        write_scored_points(points_csv)
-        loaded = self.probe("bench-rcql", "--scored-points", points_csv, "--out", tmp_path / "rcql")
-        assert "scipy.optimize" in loaded
-        assert "scipy.stats" not in loaded
+    def test_simulate_loads_no_scipy(self, loaded, probe_dir):
+        assert loaded("simulate") == []
+        assert (probe_dir / "simulate" / "rd_fit.json").exists()
 
     @pytest.mark.parametrize("command", ["cv", "gfs"])
-    def test_cv_and_gfs_load_no_scipy(self, tmp_path, command):
-        features = tmp_path / "features.csv"
-        write_feature_csv(features)
-        argv = [command, "--features", features, "--folds", 2, "--runs", 1, "--trees", 3, "--out", tmp_path / "o"]
-        assert self.probe(*argv) == []
+    def test_cv_and_gfs_load_no_scipy(self, loaded, command):
+        assert loaded(command) == []
 
-    def test_report_loads_no_scipy(self, tmp_path):
-        golden = DATA / "golden_trace.json"
-        assert self.probe("report", "--baseline-trace", golden, "--drs-trace", golden, "--out", tmp_path / "rep") == []
+    def test_report_loads_no_scipy(self, loaded):
+        assert loaded("report") == []
 
     def test_package_exports_unchanged(self):
         import importlib

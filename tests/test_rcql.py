@@ -1,7 +1,13 @@
+import dataclasses
+import math
+import warnings
+from decimal import MAX_EMAX, MIN_EMIN, Decimal, localcontext
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import integrate
 
 from drskit.errors import DegenerateInput, InvalidRange, MismatchedPair, NoComparablePairs, NotEvaluable
 from drskit.rcql import (
@@ -14,6 +20,7 @@ from drskit.rcql import (
     rcql_s,
 )
 from drskit import rcql
+from drskit.curves import pchip_from_arrays
 from drskit.rdmodel import STATUS_NONE, CrossOverResult, LogisticParams, eval_logistic, find_crossover
 
 LO = (1280, 720)
@@ -77,6 +84,17 @@ class TestRcqlS:
         with pytest.raises(NotEvaluable):
             rcql_s(object(), lo, 2000.0, 3000.0)
 
+    def test_only_logistic_fits(self):
+        # The integral is the logistic's closed form: an interpolant or a
+        # plain callable, though evaluable, is refused.
+        lo = LogisticParams(8, 2, 600, 400, 0.0)
+        pchip = pchip_from_arrays([1000.0, 2000.0, 4000.0], [3.0, 5.0, 6.0])
+        for other in (pchip, lo.evaluate, lambda x: 5.0 + 0.0 * np.asarray(x)):
+            with pytest.raises(NotEvaluable):
+                rcql_s(lo, other, 2000.0, 3000.0)
+            with pytest.raises(NotEvaluable):
+                rcql_s(other, lo, 2000.0, 3000.0)
+
     def test_symmetric_in_interval_order(self):
         lo = LogisticParams(8, 2, 600, 400, 0.0)
         hi = LogisticParams(9, 1, 900, 500, 0.0)
@@ -115,6 +133,118 @@ def loop_crossings_between(f_low, f_high, a, b, search):
             if res.has_bitrate and a + 1e-6 < res.bitrate_kbps < b - 1e-6:
                 roots.append(res.bitrate_kbps)
     return roots
+
+
+def quad_rcql_s(low, high, a, b):
+    """rcql_s by adaptive quadrature, as it was computed before the closed
+    form: the same cuts, each piece integrated by ``scipy.integrate.quad``."""
+    a, b = sorted((a, b))
+    cuts = [a] + rcql._crossings_between(low.evaluate, high.evaluate, a, b) + [b]
+    total = 0.0
+    for lo, hi in zip(cuts, cuts[1:]):
+        piece, _err = integrate.quad(
+            lambda x: float(high.evaluate(x)) - float(low.evaluate(x)), lo, hi, epsrel=1e-10, epsabs=1e-12, limit=200
+        )
+        total += abs(piece)
+    return total
+
+
+def quad_abs_integral(fit, a, b):
+    return integrate.quad(lambda x: abs(float(fit.evaluate(x))), a, b, epsrel=1e-12, limit=200)[0]
+
+
+def random_fit(rng, r_min, r_max, log10_spans):
+    """A logistic as fit_logistic returns them: inflection in [r_min/2,
+    r_min], slope scale a power of ten of the bitrate span, floored."""
+    b2 = rng.uniform(0.0, 5.0)
+    b4 = max((r_max - r_min) * 10.0 ** rng.uniform(*log10_spans), 1e-9)
+    return LogisticParams(b2 + rng.uniform(0.0, 5.0), b2, rng.uniform(r_min / 2, r_min), b4, 0.0)
+
+
+def random_cases(kind, n, seed):
+    """``n`` seeded (low, high, a, b) for one kind of logistic pair."""
+    rng = np.random.default_rng(seed)
+    log10_spans = {"step": (-14.0, -4.0), "linear": (4.0, 6.0)}.get(kind, (-2.0, 1.0))
+    cases = []
+    while len(cases) < n:
+        r_min = rng.uniform(200.0, 3000.0)
+        r_max = r_min * rng.uniform(2.0, 20.0)
+        low = random_fit(rng, r_min, r_max, log10_spans)
+        if kind == "identical":
+            shake = 1.0 + 1e-9 * rng.standard_normal(3)
+            b2 = low.beta2 * shake[0]
+            high = dataclasses.replace(low, beta1=max(low.beta1 * shake[1], b2), beta2=b2, beta3=low.beta3 * shake[2])
+        else:
+            high = random_fit(rng, r_min, r_max, log10_spans)
+        if kind == "crossing":
+            x = find_crossover(low, high, (r_min, r_max)).bitrate_kbps
+            if x is None:
+                continue
+            a, b = x - rng.uniform(0.0, x - r_min), x + rng.uniform(0.0, r_max - x)
+        else:
+            a, b = np.sort(rng.uniform(r_min, r_max, 2))
+        cases.append((low, high, float(a), float(b)))
+    return cases
+
+
+class TestClosedFormAgainstQuad:
+    """The closed form against the quadrature it replaced (the oracle), on
+    the same cuts."""
+
+    @pytest.mark.parametrize("kind, seed", [("step", 1), ("linear", 2), ("crossing", 3), ("moderate", 4)])
+    def test_matches_quad(self, kind, seed):
+        crossed = 0
+        for low, high, a, b in random_cases(kind, 150, seed):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = rcql_s(low, high, a, b)
+            expected = quad_rcql_s(low, high, a, b)
+            assert abs(got - expected) <= 1e-8 * expected + 1e-12, (low, high, a, b, got, expected)
+            crossed += bool(rcql._crossings_between(low.evaluate, high.evaluate, a, b))
+        if kind == "crossing":
+            assert crossed > 100
+
+    def test_near_identical_pairs(self):
+        # The gap is 1e-9 of either curve, so both integrals cancel in it:
+        # the error is bounded by the curves' own integrals.
+        for low, high, a, b in random_cases("identical", 150, seed=5):
+            got = rcql_s(low, high, a, b)
+            with warnings.catch_warnings():
+                # The integrand's rounding is near the gap, so quad can miss
+                # its own tolerance; the bound below still holds.
+                warnings.simplefilter("ignore", integrate.IntegrationWarning)
+                expected = quad_rcql_s(low, high, a, b)
+            scale = quad_abs_integral(low, a, b) + quad_abs_integral(high, a, b)
+            assert abs(got - expected) <= 1e-13 * scale, (low, high, a, b, got, expected)
+
+
+def exact_softplus_diff(a: float, d: float) -> float:
+    """``softplus(a + d) - softplus(a)`` in 60-digit decimal arithmetic."""
+    with localcontext() as ctx:
+        ctx.prec, ctx.Emax, ctx.Emin = 60, MAX_EMAX, MIN_EMIN
+
+        def softplus(t):
+            e = (-abs(t)).exp()
+            # log1p by its series where 1 + e rounds to 1.
+            return max(t, 0) + (e - e * e / 2 + e * e * e / 3 if e < Decimal("1e-20") else (1 + e).ln())
+
+        return float(softplus(Decimal(a) + Decimal(d)) - softplus(Decimal(a)))
+
+
+class TestSoftplusDiff:
+    @pytest.mark.parametrize("a", [-1e12, -1e6, -700.0, -30.0, -1.0, -0.3, 0.0, 0.3, 1.0, 30.0, 1e6, 1e12])
+    def test_finite_and_exact(self, a):
+        for d in [0.0, *np.geomspace(1e-12, 1e12, 37)]:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = rcql._softplus_diff(a, float(d))
+            assert got == pytest.approx(exact_softplus_diff(a, float(d)), rel=1e-14, abs=1e-300), (a, d)
+
+    def test_far_tails(self):
+        assert rcql._softplus_diff(1e12, 1e12) == 1e12
+        assert rcql._softplus_diff(1e12, 1e-12) == 1e-12
+        assert rcql._softplus_diff(-1e12, 1e12) == pytest.approx(math.log(2.0))
+        assert rcql._softplus_diff(-1e12, 1.0) == 0.0
 
 
 class TestCrossingsBetween:
