@@ -22,21 +22,11 @@ import numpy as np
 # imports the modules it alone uses in its body and pays for them only
 # when it runs.
 from . import __version__, io
-from .avc.features import extract_gop_features
 from .errors import InputError, ToolkitError
-from .forest import TreeParams
-from .ladder import (
-    LadderProblem,
-    best_resolution_probability,
-    cumulative_probability,
-    optimize_ladder_exhaustive,
-    optimize_ladder_greedy,
-    weights_from_bandwidth,
-)
-from .vqm import DEFAULT_BASE_FEATURES, _labeled_matrix, _train_matrix, feature_importance, model_to_dict, predict_batch
 
 if TYPE_CHECKING:
     from .curves import RDCurve
+    from .forest import TreeParams
 
 __all__ = ["main"]
 
@@ -74,6 +64,8 @@ def _parse_feature_subsample(text: str):
 
 
 def _hyperparams(args) -> TreeParams:
+    from .forest import TreeParams
+
     return TreeParams(
         n_trees=args.trees,
         max_depth=None if args.max_depth == 0 else args.max_depth,
@@ -84,6 +76,8 @@ def _hyperparams(args) -> TreeParams:
 
 
 def _base_features(args) -> tuple[str, ...]:
+    from .vqm import DEFAULT_BASE_FEATURES
+
     if args.base_features is None:
         return DEFAULT_BASE_FEATURES
     return tuple(n.strip() for n in args.base_features.split(",") if n.strip())
@@ -141,6 +135,8 @@ def _add_curve_source_args(p: argparse.ArgumentParser) -> None:
 
 
 def cmd_extract_features(args, argv) -> int:
+    from .avc.features import extract_gop_features
+
     data = Path(args.input).read_bytes()
     content_id = args.content_id or Path(args.input).stem
     rows, diag = extract_gop_features(data, fps=args.fps, gop_seconds=args.gop_seconds)
@@ -239,6 +235,8 @@ def cmd_bench_rcql(args, argv) -> int:
 
 
 def cmd_analyze_gops(args, argv) -> int:
+    from .ladder import best_resolution_probability, cumulative_probability
+
     log = io.load_quality_log(args.log, args.units)
     table = best_resolution_probability(log)
     cum = cumulative_probability(table)
@@ -261,6 +259,8 @@ def cmd_analyze_gops(args, argv) -> int:
 
 
 def cmd_select_ladder(args, argv) -> int:
+    from .ladder import LadderProblem, optimize_ladder_exhaustive, optimize_ladder_greedy, weights_from_bandwidth
+
     log = io.load_quality_log(args.log, args.units)
     candidates = None
     if args.candidates:
@@ -347,6 +347,8 @@ def cmd_report(args, argv) -> int:
 
 
 def cmd_train(args, argv) -> int:
+    from .vqm import _labeled_matrix, _train_matrix, feature_importance, model_to_dict, predict_batch
+
     records, schema = io.load_feature_log(args.features, args.units)
     X, y, _ = _labeled_matrix(records, schema)
     model = _train_matrix(X, y, schema, _hyperparams(args), args.seed, _base_features(args))

@@ -27,6 +27,7 @@ import functools
 import gc
 import json
 import math
+import types
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -35,11 +36,11 @@ import numpy as np
 
 from .errors import CsvSchemaError, InputError, InvariantError
 from .ladder import LadderSolution, ProbabilityTable, QualityLog
-from .vqm import FeatureSchema, GopRecord
 
 if TYPE_CHECKING:
     from .curves import ScoredPoint
     from .rcql import RcqlReport  # only bench-rcql loads rcql
+    from .vqm import FeatureSchema, GopRecord  # only the feature-log commands load vqm
 
 __all__ = [
     "QUALITY_LOG_COLUMNS",
@@ -134,15 +135,21 @@ def _int(text: str, column: str, row: int) -> int:
         raise CsvSchemaError(f"column {column!r}: {text!r} is not an integer", row) from None
 
 
+def _size(w: int, h: int, row: int) -> tuple[int, int]:
+    if w <= 0 or h <= 0:
+        raise CsvSchemaError(f"width/height must be > 0, got {w}x{h}", row)
+    return w, h
+
+
 @contextlib.contextmanager
 def _gc_paused():
     """Pause the cyclic garbage collector, if it runs, for the block.
 
     Collections are triggered by the number of container objects
-    allocated.  Reading a large CSV allocates one list per row, and
-    building the quality-log cube one key tuple per record; none of them
-    can be part of a cycle, so the collections they trigger free nothing,
-    yet took about a quarter of a 57 600-record log's load time."""
+    allocated.  Reading a large CSV through ``csv.reader`` allocates one
+    list per row; none of them can be part of a cycle, so the collections
+    they trigger free nothing, yet took about a quarter of a 57 600-record
+    log's load time."""
     was_enabled = gc.isenabled()
     gc.disable()
     try:
@@ -193,9 +200,73 @@ def _read_rows(path, required: tuple[str, ...], exact: bool = True):
     return header, [(i, dict(zip(header, row))) for i, row in enumerate(rows, start=2)]
 
 
+# The numeric columns of a quality log, as numpy's C parser reads them.
+_QUALITY_NUMBERS = np.dtype(
+    [("gop_index", np.int64), ("bitrate_kbps", float), ("width", np.int64), ("height", np.int64), ("vqm_score", float)]
+)
+
+
 @_gc_paused()
 def load_quality_log(path, units: str = "kbps") -> QualityLog:
+    """Read a quality log.  numpy's C parser reads a plain file; a file
+    it may read differently from ``int()``/``float()``, or that has a bad
+    cell, is read again row by row, which names the first bad row."""
     scale = unit_scale(units)
+    columns = _parse_plain_quality_log(path, scale)
+    if columns is None:
+        columns = _read_quality_log_rows(path, scale)
+    return QualityLog.from_columns(*columns)
+
+
+def _quality_cells_ok(scale: float, raw_bitrates, widths, heights, scores) -> bool:
+    """Whether converted quality-log columns pass every row check."""
+    return bool(
+        np.isfinite(raw_bitrates).all()
+        and (scale * raw_bitrates > 0).all()
+        and np.greater(widths, 0).all()
+        and np.greater(heights, 0).all()
+        and np.isfinite(scores).all()
+    )
+
+
+def _parse_plain_quality_log(path, scale: float):
+    """The quality log's columns, read by ``np.loadtxt``, or None where
+    the csv reader must read the file.
+
+    Without quotes a CSV line is its cells joined by commas, so the
+    content id is the text before the first comma.  Lines break where
+    ``csv`` breaks them (``\\r``, ``\\n``), never where ``str.splitlines``
+    also does.  Where numpy accepts a number it gives ``int()``'s or
+    ``float()``'s value, except that it also strips the ASCII separators
+    ``\\x1c``-``\\x1f`` and reads some non-ASCII characters as digits, so
+    files with either go to the csv reader."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        try:
+            text = fh.read()
+        except UnicodeDecodeError:
+            return None
+    if '"' in text or any(c in text for c in "\x1c\x1d\x1e\x1f"):
+        return None
+    lines = list(filter(None, text.replace("\r", "\n").split("\n")))
+    if len(lines) < 2 or lines[0] != ",".join(QUALITY_LOG_COLUMNS):
+        return None
+    rows = lines[1:]
+    if not text.isascii() and not "".join([row.partition(",")[2] for row in rows]).isascii():
+        return None
+    try:
+        numbers = np.loadtxt(rows, _QUALITY_NUMBERS, comments=None, delimiter=",", usecols=(1, 2, 3, 4, 5), ndmin=1)
+    except ValueError:
+        return None
+    gops, raw_bitrates, widths, heights, scores = (numbers[name] for name in _QUALITY_NUMBERS.names)
+    if len(numbers) != len(rows) or not _quality_cells_ok(scale, raw_bitrates, widths, heights, scores):
+        return None
+    content = [row.partition(",")[0] for row in rows]
+    return content, gops, scale * raw_bitrates, widths, heights, scores
+
+
+def _read_quality_log_rows(path, scale: float):
+    """The quality log's columns, read by ``csv.reader``; raises the
+    first bad row's error."""
     header, rows = _read_table(path, QUALITY_LOG_COLUMNS)
     at = {name: k for k, name in enumerate(header)}  # a repeated name reads its last column
     columns = list(zip(*rows))
@@ -213,17 +284,15 @@ def load_quality_log(path, units: str = "kbps") -> QualityLog:
     except ValueError:
         valid = False
     else:
-        bitrates = scale * raw_bitrates
-        valid = bool(np.isfinite(raw_bitrates).all() and (bitrates > 0).all() and np.isfinite(scores).all())
+        valid = _quality_cells_ok(scale, raw_bitrates, widths, heights, scores)
     if not valid:
         for i, (g, b, w, h, v) in enumerate(zip(gop, bitrate, width, height, score), start=2):
             _int(g, "gop_index", i)
             _bitrate_cell(b, scale, i)
-            _int(w, "width", i)
-            _int(h, "height", i)
+            _size(_int(w, "width", i), _int(h, "height", i), i)
             _float(v, "vqm_score", i)
         raise InvariantError("a quality-log column failed to convert but none of its rows did")
-    return QualityLog.from_columns(content, gops, bitrates, widths, heights, scores)
+    return content, gops, scale * raw_bitrates, widths, heights, scores
 
 
 def write_quality_log(path, records) -> None:
@@ -257,6 +326,8 @@ def load_scored_points(path, units: str = "kbps") -> list[ScoredPoint]:
 def load_feature_log(path, units: str = "kbps") -> tuple[list[GopRecord], FeatureSchema]:
     """Read a feature log; returns records plus the derived schema
     (log_bitrate_kbps, log_pixels, then the file's feature columns)."""
+    from .vqm import FeatureSchema, GopRecord
+
     scale = unit_scale(units)
     header, rows = _read_rows(path, FEATURE_LOG_ID_COLUMNS, exact=False)
     feature_cols = [c for c in header if c not in FEATURE_LOG_ID_COLUMNS and c != LABEL_COLUMN]
@@ -268,10 +339,7 @@ def load_feature_log(path, units: str = "kbps") -> tuple[list[GopRecord], Featur
     records = []
     for i, row in rows:
         bitrate = _bitrate_cell(row["bitrate_kbps"], scale, i)
-        w = _int(row["width"], "width", i)
-        h = _int(row["height"], "height", i)
-        if w <= 0 or h <= 0:
-            raise CsvSchemaError(f"width/height must be > 0, got {w}x{h}", i)
+        w, h = _size(_int(row["width"], "width", i), _int(row["height"], "height", i), i)
         feats = [math.log(bitrate), math.log(w * h)]
         feats += [_float(row[c], c, i) for c in feature_cols]
         label = _float(row[LABEL_COLUMN], LABEL_COLUMN, i) if has_label and row[LABEL_COLUMN] != "" else None
@@ -592,18 +660,15 @@ def trace_from_dict(doc: dict):
     rungs = tuple(float(b) for b in doc["rungs"])
     resolutions = tuple((int(r[0]), int(r[1])) for r in doc["resolutions"])
     n = int(doc["n_gops"])
-    gop_ids = []
-    chosen_res = np.zeros((n, len(rungs)), dtype=np.int64)
-    chosen_score = np.zeros((n, len(rungs)))
     sel = doc["selections"]
     if len(sel) != n * len(rungs):
         raise InputError(f"trace has {len(sel)} selections, expected {n * len(rungs)}")
-    for i in range(n):
-        block = sel[i * len(rungs) : (i + 1) * len(rungs)]
-        gop_ids.append((block[0]["content_id"], int(block[0]["gop_index"])))
-        for j, entry in enumerate(block):
-            chosen_res[i, j] = resolutions.index(tuple(entry["resolution"]))
-            chosen_score[i, j] = float(entry["score"])
+    res_at = {}
+    for k, res in enumerate(resolutions):
+        res_at.setdefault(res, k)  # a repeated resolution reads as its first entry
+    chosen_res = np.fromiter((res_at[tuple(e["resolution"])] for e in sel), np.int64, len(sel)).reshape(n, len(rungs))
+    chosen_score = np.fromiter((float(e["score"]) for e in sel), float, len(sel)).reshape(n, len(rungs))
+    gop_ids = [(sel[i * len(rungs)]["content_id"], int(sel[i * len(rungs)]["gop_index"])) for i in range(n)]
     return DrsTrace(
         rungs=rungs,
         resolutions=resolutions,
@@ -622,16 +687,19 @@ def load_trace(path):
 
 
 def write_trace_csv(path, trace) -> None:
-    rung_text = [repr(float(b)) for b in trace.rungs]
+    # csv.writer returns what its file's write returns, so writing to
+    # ``str`` gives the text of a row; only the ids may need quoting.
+    row_text = csv.writer(types.SimpleNamespace(write=str)).writerow
+    rung_text = [f"{float(b)!r}," for b in trace.rungs]
+    res_text = [row_text(res).removesuffix("\r\n") + "," for res in trace.resolutions]
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["content_id", "gop_index", "bitrate_kbps", "width", "height", "score"])
-        for (content, gop), res_row, score_row in zip(
-            trace.gop_ids, trace.chosen_res.tolist(), trace.chosen_score.tolist()
-        ):
-            writer.writerows(
-                [content, gop, rung, *trace.resolutions[k], repr(score)]
-                for rung, k, score in zip(rung_text, res_row, score_row)
+        fh.write(row_text(["content_id", "gop_index", "bitrate_kbps", "width", "height", "score"]))
+        for ident, res_row, score_row in zip(trace.gop_ids, trace.chosen_res.tolist(), trace.chosen_score.tolist()):
+            head = row_text(ident).removesuffix("\r\n") + ","
+            fh.write(
+                "".join(
+                    f"{head}{rung}{res_text[k]}{score!r}\r\n" for rung, k, score in zip(rung_text, res_row, score_row)
+                )
             )
 
 

@@ -49,6 +49,25 @@ def _res_key(res: Resolution) -> tuple[int, int]:
     return (res[0] * res[1], res[0])
 
 
+def _int_array(values) -> np.ndarray:
+    """``values`` as an integer array; Python ints too large for int64
+    are kept, in an object array."""
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iu":
+        return values
+    ints = list(map(int, values))
+    try:
+        return np.array(ints, dtype=np.int64)
+    except OverflowError:
+        return np.array(ints, dtype=object)
+
+
+def _pair_codes(first: np.ndarray, second: np.ndarray, n_second: int):
+    """The distinct (first, second) pairs of two code arrays in sorted
+    order, as two arrays, and each entry's index among them."""
+    keys, codes = np.unique(first * n_second + second, return_inverse=True)
+    return *np.divmod(keys, n_second), codes
+
+
 @dataclass(frozen=True, eq=False)
 class QualityLog:
     """Dense (GOP, rung, resolution) score array.
@@ -81,22 +100,33 @@ class QualityLog:
         n = len(scores)
         if n == 0:
             raise EmptyInput("quality log has no records")
-        gop_keys = list(zip(map(str, content_ids), map(int, gop_indices)))
-        gop_ids = tuple(sorted(set(gop_keys)))
-        gop_at = {g: i for i, g in enumerate(gop_ids)}
-        res_keys = list(zip(map(int, widths), map(int, heights)))
-        resolutions = tuple(sorted(set(res_keys), key=_res_key))
-        res_at = {r: k for k, r in enumerate(resolutions)}
+        # Each record's GOP and resolution become integer codes, numbered
+        # in sorted order: a (content, GOP) or (width, height) pair is
+        # coded from the ranks of its two parts.
+        names = list(map(str, content_ids))
+        contents = sorted(set(names))
+        content_rank = dict(zip(contents, range(len(contents))))
+        content_of = np.fromiter(map(content_rank.__getitem__, names), np.int64, n)
+        gops = _int_array(gop_indices)
+        gop_values, gop_rank = np.unique(gops, return_inverse=True)
+        gop_content, gop_at, gop_of = _pair_codes(content_of, gop_rank, len(gop_values))
+        gop_ids = tuple(zip([contents[c] for c in gop_content.tolist()], gop_values[gop_at].tolist()))
+        widths, heights = _int_array(widths), _int_array(heights)
+        width_values, width_rank = np.unique(widths, return_inverse=True)
+        height_values, height_rank = np.unique(heights, return_inverse=True)
+        pair_width, pair_height, pair_of = _pair_codes(width_rank, height_rank, len(height_values))
+        pairs = list(zip(width_values[pair_width].tolist(), height_values[pair_height].tolist()))
+        res_order = sorted(range(len(pairs)), key=lambda k: _res_key(pairs[k]))
+        resolutions = tuple(pairs[k] for k in res_order)
+        res_of = np.argsort(res_order)[pair_of]
         bitrates = np.asarray(bitrates, dtype=float)
         rung_values, rung_of = np.unique(bitrates, return_inverse=True)
-        gop_of = np.fromiter(map(gop_at.__getitem__, gop_keys), np.intp, n)
-        res_of = np.fromiter(map(res_at.__getitem__, res_keys), np.intp, n)
         flat = (gop_of * len(rung_values) + rung_of) * len(resolutions) + res_of
         order = np.argsort(flat, kind="stable")
         repeats = order[1:][flat[order[1:]] == flat[order[:-1]]]
         if repeats.size:
             i = int(repeats.min())
-            record = (content_ids[i], gop_keys[i][1], float(bitrates[i]), res_keys[i])
+            record = (content_ids[i], int(gops[i]), float(bitrates[i]), (int(widths[i]), int(heights[i])))
             raise InputError(f"duplicate quality record for {record}")
         cube = np.full(len(gop_ids) * len(rung_values) * len(resolutions), np.nan)
         cube[flat] = np.asarray(scores, dtype=float)

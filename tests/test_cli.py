@@ -526,9 +526,16 @@ class TestMalformedJson:
 IMPORT_PROBE = """
 import json, sys
 from drskit.cli import main
-code = main(sys.argv[1:]) if len(sys.argv) > 1 else 0
-print(json.dumps({"code": code, "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
+try:
+    code = main(sys.argv[1:]) if len(sys.argv) > 1 else 0
+except SystemExit as exc:  # --version
+    code = exc.code
+loaded = {p: sorted(m for m in sys.modules if m.split(".")[0] == p) for p in ("scipy", "drskit")}
+print(json.dumps({"code": code, **loaded}))
 """
+
+# The forest, the quality model and the Annex-B parser.
+MODEL_AND_PARSER_MODULES = ("drskit.vqm", "drskit.forest", "drskit.avc")
 
 SUBCOMMANDS = [
     "extract-features", "fit", "crossover", "bench-rcql", "analyze-gops", "select-ladder", "simulate", "train",
@@ -555,15 +562,16 @@ class TestImportBudget:
         )
         doc = json.loads(result.stdout.splitlines()[-1])
         assert doc["code"] == 0
-        return doc["scipy"]
+        return doc
 
     @pytest.fixture(scope="class")
     def probe_dir(self, tmp_path_factory):
         return tmp_path_factory.mktemp("import_probe")
 
     @pytest.fixture(scope="class")
-    def loaded(self, probe_dir):
-        """The scipy modules each subcommand loads, probed once per command."""
+    def probed(self, probe_dir):
+        """The scipy and drskit modules each subcommand loads, probed once
+        per command."""
         tmp = probe_dir
         points, features, stream = tmp / "scores.csv", tmp / "features.csv", tmp / "clip.264"
         write_scored_points(points)
@@ -588,14 +596,20 @@ class TestImportBudget:
         config = tmp / "bench-rcql.run_config.json"
         config.write_text(json.dumps({"tool": "drskit", "argv": [str(a) for a in argv["bench-rcql"]]}))
         argv["replay"] = ["replay", config]
+        argv["--version"] = ["--version"]
         found = {}
 
-        def scipy_of(command):
+        def modules_of(command):
             if command not in found:
                 found[command] = self.probe(*argv[command])
             return found[command]
 
-        return scipy_of
+        return modules_of
+
+    @pytest.fixture(scope="class")
+    def loaded(self, probed):
+        """The scipy modules each subcommand loads."""
+        return lambda command: probed(command)["scipy"]
 
     def test_every_subcommand_is_probed(self):
         from drskit.cli import _build_parser
@@ -608,7 +622,31 @@ class TestImportBudget:
         assert loaded(command) == []
 
     def test_cli_import_loads_no_scipy(self):
-        assert self.probe() == []
+        assert self.probe()["scipy"] == []
+
+    def test_version_loads_only_the_cli_and_its_readers(self, probed):
+        assert probed("--version")["drskit"] == ["drskit", "drskit.cli", "drskit.errors", "drskit.io", "drskit.ladder"]
+
+    @pytest.mark.parametrize(
+        "command", ["--version", "select-ladder", "simulate", "report", "fit", "crossover", "bench-rcql"]
+    )
+    def test_command_loads_no_model_or_parser(self, probed, command):
+        loaded = probed(command)["drskit"]
+        assert "drskit.io" in loaded
+        assert [m for m in loaded if m.startswith(MODEL_AND_PARSER_MODULES)] == []
+
+    @pytest.mark.parametrize(
+        "command, modules",
+        [
+            ("extract-features", ["drskit.avc"]),
+            ("train", ["drskit.forest", "drskit.vqm"]),
+            ("cv", ["drskit.forest", "drskit.vqm"]),
+            ("gfs", ["drskit.forest", "drskit.vqm"]),
+        ],
+    )
+    def test_model_and_parser_commands_load_them(self, probed, command, modules):
+        loaded = probed(command)["drskit"]
+        assert set(modules) <= set(loaded)
 
     def test_version_loads_no_concurrent_futures(self):
         probe = (

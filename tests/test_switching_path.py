@@ -70,16 +70,14 @@ def oracle_load_quality_log(path, units: str = "kbps") -> QualityLog:
             rows.append((i, row))
         if not rows:
             raise CsvSchemaError("file has a header but no data rows", 2)
-    records = [
-        (
-            row["content_id"],
-            io._int(row["gop_index"], "gop_index", i),
-            io._bitrate_cell(row["bitrate_kbps"], scale, i),
-            (io._int(row["width"], "width", i), io._int(row["height"], "height", i)),
-            io._float(row["vqm_score"], "vqm_score", i),
-        )
-        for i, row in rows
-    ]
+    records = []
+    for i, row in rows:
+        gop = io._int(row["gop_index"], "gop_index", i)
+        bitrate = io._bitrate_cell(row["bitrate_kbps"], scale, i)
+        w, h = io._int(row["width"], "width", i), io._int(row["height"], "height", i)
+        if w <= 0 or h <= 0:
+            raise CsvSchemaError(f"width/height must be > 0, got {w}x{h}", i)
+        records.append((row["content_id"], gop, bitrate, (w, h), io._float(row["vqm_score"], "vqm_score", i)))
     return oracle_from_records(records)
 
 
@@ -131,6 +129,41 @@ def oracle_write_trace_csv(path, trace) -> None:
                 writer.writerow([content, gop, repr(float(b)), res[0], res[1], repr(float(trace.chosen_score[i, j]))])
 
 
+def oracle_trace_from_dict(doc: dict) -> DrsTrace:
+    """``io.trace_from_dict`` one selection at a time, through
+    ``tuple.index``."""
+
+    @io._json_fields
+    def parse(doc):
+        rungs = tuple(float(b) for b in doc["rungs"])
+        resolutions = tuple((int(r[0]), int(r[1])) for r in doc["resolutions"])
+        n = int(doc["n_gops"])
+        gop_ids = []
+        chosen_res = np.zeros((n, len(rungs)), dtype=np.int64)
+        chosen_score = np.zeros((n, len(rungs)))
+        sel = doc["selections"]
+        if len(sel) != n * len(rungs):
+            raise InputError(f"trace has {len(sel)} selections, expected {n * len(rungs)}")
+        for i in range(n):
+            block = sel[i * len(rungs) : (i + 1) * len(rungs)]
+            gop_ids.append((block[0]["content_id"], int(block[0]["gop_index"])))
+            for j, entry in enumerate(block):
+                chosen_res[i, j] = resolutions.index(tuple(entry["resolution"]))
+                chosen_score[i, j] = float(entry["score"])
+        return DrsTrace(
+            rungs=rungs,
+            resolutions=resolutions,
+            gop_ids=tuple(gop_ids),
+            granularity_gops=int(doc["granularity_gops"]),
+            chosen_res=chosen_res,
+            chosen_score=chosen_score,
+            per_rung_mean=chosen_score.mean(axis=0),
+            flips=np.asarray(doc["flips"], dtype=np.int64),
+        )
+
+    return parse(doc)
+
+
 # --- helpers ---------------------------------------------------------------
 
 
@@ -176,6 +209,16 @@ def same_error(path: Path, units: str = "kbps") -> Exception:
     return new.value
 
 
+def same_outcome(path: Path, units: str = "kbps") -> None:
+    """Load ``path`` with both readers: the same log, or the same error."""
+    try:
+        want = oracle_load_quality_log(path, units)
+    except InputError:
+        same_error(path, units)
+    else:
+        assert_same_log(io.load_quality_log(path, units), want)
+
+
 CONTENT_IDS = st.text(
     alphabet=st.sampled_from(list("abcXYZ019 ,\"'\t\r\n\x00") + ["é", "ü", "中", "—", "🎬"]),
     max_size=6,
@@ -190,7 +233,7 @@ def quality_logs(draw):
     gops = draw(st.lists(st.integers(-(2**70), 2**70), min_size=1, max_size=4, unique=True))
     rungs = draw(st.lists(st.floats(1e-3, 1e6, allow_nan=False), min_size=1, max_size=4, unique=True))
     resolutions = draw(
-        st.lists(st.tuples(st.integers(-4, 4000), st.integers(-4, 4000)), min_size=1, max_size=3, unique=True)
+        st.lists(st.tuples(st.integers(1, 4000), st.integers(1, 4000)), min_size=1, max_size=3, unique=True)
     )
     cells = [(c, g, b, r) for c in contents for g in gops for b in rungs for r in resolutions]
     keep = draw(st.lists(st.booleans(), min_size=len(cells), max_size=len(cells)))
@@ -201,6 +244,42 @@ def quality_logs(draw):
         rows.append([c, str(g), repr(b), str(w), str(h), repr(score)])
     random.Random(draw(st.integers(0, 2**32))).shuffle(rows)
     return rows, draw(st.sampled_from(["kbps", "mbps"]))
+
+
+# Characters around which numpy's parser and int()/float() may disagree.
+ODD_NUMBER_TEXT = st.lists(
+    st.sampled_from(
+        list("0123456789+-.eE_ \t\x0b\x0c") + ["\x00", "\x1c", "\x1f", "\x85", "\xa0", "\u2028", "\u3000"]
+        + ["\u0663", "\uff19", "\ufcf2", "\u0903", "inf", "nan", "Infinity", "#", "'", ";"]
+    ),
+    max_size=8,
+).map("".join)
+
+
+@st.composite
+def quality_cells(draw):
+    """Rows of unquoted quality-log cells; each number is plain, written
+    in another form, or odd text."""
+    ints = st.one_of(st.integers(-(2**70), 2**70).map(str), st.integers(1, 4000).map(str), ODD_NUMBER_TEXT)
+    floats = st.one_of(
+        st.floats(allow_nan=True, allow_infinity=True).map(repr),
+        st.floats(1e-3, 1e6).map(lambda v: f"{v:.17g}"),
+        st.floats(1e-3, 1e6).map(lambda v: f"{v:.4f}"),
+        st.floats(-1e300, 1e300).map(lambda v: f"{v:e}"),
+        ODD_NUMBER_TEXT,
+    )
+    n = draw(st.integers(1, 5))
+    return [
+        [
+            draw(st.sampled_from(["c", "d", "\u00e9", "c\x1c"])),
+            draw(ints),
+            draw(floats),
+            draw(ints),
+            draw(ints),
+            draw(floats),
+        ]
+        for _ in range(n)
+    ]
 
 
 # --- quality-log ingest ----------------------------------------------------
@@ -296,6 +375,144 @@ class TestIngest:
         path = tmp_path / "log.csv"
         path.write_text(text, encoding="utf-8")
         same_error(path)
+
+    @pytest.mark.parametrize(
+        "cells, text",
+        [
+            (("0", "540"), "width/height must be > 0, got 0x540"),
+            (("960", "0"), "width/height must be > 0, got 960x0"),
+            (("-960", "540"), "width/height must be > 0, got -960x540"),
+            (("-1", "-1"), "width/height must be > 0, got -1x-1"),
+        ],
+    )
+    def test_size_error_parity(self, tmp_path, cells, text):
+        # The size check comes before the score's, as in the feature log.
+        rows = [self.GOOD, ["c", "1", "1000", *cells, "bad"], ["c", "2", "1000", "0", "0", "4.0"]]
+        err = same_error(write_csv(tmp_path / "log.csv", rows))
+        assert str(err) == f"row 3: {text}"
+
+
+# Files on both sides of what numpy's parser reads as int()/float() do.
+PLAIN_ROW = "c,1,1000,960,540,4.0\n"
+BOUNDARY_FILES = {
+    "underscore gop": "c,1_000,1000,960,540,5.0\n",
+    "underscore bitrate": "c,0,1_000.5,960,540,5.0\n",
+    "underscore width": "c,0,1000,9_60,540,5.0\n",
+    "underscore score": "c,0,1000,960,540,5_0.25\n",
+    "arabic-indic digit gop": "c,\u0663,1000,960,540,5.0\n",
+    "arabic-indic digit score": "c,0,1000,960,540,\u0663.5\n",
+    "fullwidth digit width": "c,0,1000,\uff1960,540,5.0\n",
+    "non-ascii numpy reads as a digit": "c,7\ufcf2,1000,960,540,5.0\n",
+    "non-ascii numpy reads as a digit, in a size": "c,0,1000,960,5\ufcf40,5.0\n",
+    "gop 2**70": f"c,{2**70},1000,960,540,5.0\nc,{-(2**70)},1000,960,540,5.0\n",
+    "width 2**70": f"c,0,1000,{2**70},540,5.0\n",
+    "padded cells": "c, 7 ,1000 , 960,\t540\t, 5.0 \n",
+    "signed cells": "c,+7,+1000,+960,540,-5.0\n",
+    "float as int gop": "c,1.0,1000,960,540,5.0\n",
+    "float as int height": "c,0,1000,960,540.0,5.0\n",
+    "exponent as int": "c,1e3,1000,960,540,5.0\n",
+    "quoted id": '"c,d",0,1000,960,540,5.0\n"c",1,1000,960,540,4.0\n',
+    "quoted numbers": 'c,"7","1000","960","540","5.0"\n',
+    "quote inside an id": 'c"d,0,1000,960,540,5.0\n',
+    "hash in an id": "c#1,0,1000,960,540,5.0\n#c,1,1000,960,540,4.0\n",
+    "hash in a number": "c,0,1000,960,540,5.0#1\n",
+    "long rows": "c,0,1000,960,540,5.0,extra,more\nc,1,1000,960,540,4.0,\n",
+    "short row": "c,0,1000,960,540\n",
+    "blank lines": "\n\r\nc,0,1000,960,540,5.0\r\n\n\rc,1,1000,960,540,4.0\r",
+    "whitespace-only line": "c,0,1000,960,540,5.0\n   \nc,1,1000,960,540,4.0\n",
+    "tab-only line": "c,0,1000,960,540,5.0\n\t\n",
+    "cr line ends": "c,0,1000,960,540,5.0\rc,1,1000,960,540,4.0\r",
+    "x1c inside a row": "c,0,1000,960,540,5.0\x1cc,1,1000,960,540,4.0\n",
+    "x85 inside a row": "c,0,1000,960,540,5.0\x85c,1,1000,960,540,4.0\n",
+    "u2028 inside a row": "c,0,1000,960,540,5.0\u2028c,1,1000,960,540,4.0\n",
+    "x1c after a score": "c,0,1000,960,540,5.0\x1c\n",
+    "x1f after a gop": "c,7\x1f,1000,960,540,5.0\n",
+    "x1d in an id": "c\x1dd,0,1000,960,540,5.0\n",
+    "x85 after a gop": "c,7\x85,1000,960,540,5.0\n",
+    "nbsp before a score": "c,0,1000,960,540,\xa05.0\n",
+    "nul in an id": "c\x00d,0,1000,960,540,5.0\n",
+    "nul after a number": "c,0,1000\x00,960,540,5.0\n",
+    "vertical tab and form feed": "c,\x0b7,1000\x0c,960,540,5.0\n",
+    "non-ascii ids": "na\u00efve,0,1000,960,540,5.0\n\u4e2d\u6587,0,1000,960,540,4.0\n",
+    "nan score": "c,0,1000,960,540,nan\n",
+    "infinite bitrate": "c,0,1e400,960,540,5.0\n",
+    "zero bitrate": "c,0,0.0,960,540,5.0\n",
+    "zero width": "c,0,1000,0,540,5.0\n",
+    "negative height": "c,0,1000,960,-540,5.0\n",
+    "duplicate record": "c,1,1000,960,540,5.0\n",
+}
+
+
+class TestNumpyParserBoundary:
+    """The numpy parser reads a file exactly as the row reader does, or
+    leaves it to the row reader."""
+
+    @pytest.mark.parametrize("units", ["kbps", "mbps"])
+    @pytest.mark.parametrize("name", sorted(BOUNDARY_FILES))
+    def test_boundary_file(self, tmp_path, name, units):
+        path = tmp_path / "log.csv"
+        path.write_bytes((HEADER + "\n" + PLAIN_ROW + BOUNDARY_FILES[name]).encode("utf-8"))
+        same_outcome(path, units)
+
+    @pytest.mark.parametrize(
+        "header",
+        [
+            "gop_index,content_id,bitrate_kbps,width,height,vqm_score",
+            "\ufeff" + HEADER,
+            HEADER + ",",
+            HEADER.replace(",", ", "),
+        ],
+    )
+    def test_other_headers(self, tmp_path, header):
+        path = tmp_path / "log.csv"
+        path.write_bytes((header + "\n1,c,1000,960,540,5.0\n").encode("utf-8"))
+        same_outcome(path)
+
+    def test_not_utf8(self, tmp_path):
+        path = tmp_path / "log.csv"
+        path.write_bytes((HEADER + "\nc\xe9,0,1000,960,540,5.0\n").encode("latin-1"))
+        with pytest.raises(InputError, match="not UTF-8 text"):
+            io.load_quality_log(path)
+
+    @pytest.mark.parametrize(
+        "ids", [("plain", "other"), ("na\u00efve", "\u4e2d\u6587", "emoji\U0001f3ac"), ("c\x00d", "c#1", " c ")]
+    )
+    def test_plain_log_never_reaches_csv_reader(self, tmp_path, monkeypatch, ids):
+        path = tmp_path / "log.csv"
+        io.write_quality_log(path, [(c, g, 1000.0, (960, 540), 5.0 + g) for c in ids for g in range(3)])
+        want = oracle_load_quality_log(path)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a plain quality log reached csv.reader")
+
+        fixture = Path(__file__).parent / "data" / "synthetic_quality_log.csv"
+        want_fixture = oracle_load_quality_log(fixture)
+        monkeypatch.setattr(io, "_read_table", refuse)
+        assert_same_log(io.load_quality_log(path), want)
+        assert_same_log(io.load_quality_log(fixture), want_fixture)
+
+    @pytest.mark.parametrize("content", ["c,d", 'say "hi"', "line\r\nbreak"])
+    def test_quoted_log_reaches_csv_reader(self, tmp_path, monkeypatch, content):
+        path = tmp_path / "log.csv"
+        io.write_quality_log(path, [(content, 0, 1000.0, (960, 540), 5.0), ("c", 0, 1000.0, (960, 540), 4.0)])
+        assert '"' in path.read_text(encoding="utf-8")
+        calls = []
+        real = io._read_table
+
+        def spy(*args, **kwargs):
+            calls.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(io, "_read_table", spy)
+        assert_same_log(io.load_quality_log(path), oracle_load_quality_log(path))
+        assert calls == [path]
+
+    @given(quality_cells(), st.sampled_from(["kbps", "mbps"]))
+    @settings(max_examples=300, deadline=None)
+    def test_any_cells(self, tmp_path_factory, rows, units):
+        path = tmp_path_factory.mktemp("log") / "log.csv"
+        path.write_bytes((HEADER + "\n" + "".join(",".join(row) + "\n" for row in rows)).encode("utf-8"))
+        same_outcome(path, units)
 
 
 # --- simulate --------------------------------------------------------------
@@ -451,6 +668,45 @@ class TestTraceWriters:
         io.write_trace_csv(out / "new.csv", trace)
         oracle_write_trace_csv(out / "old.csv", trace)
         assert (out / "new.csv").read_bytes() == (out / "old.csv").read_bytes()
+
+    @given(raw_traces())
+    @settings(max_examples=100, deadline=None)
+    def test_reader_matches_per_selection_loop(self, trace):
+        doc = json.loads(json.dumps(io.trace_to_dict(trace)))
+        got, want = io.trace_from_dict(doc), oracle_trace_from_dict(doc)
+        assert got.rungs == want.rungs and got.resolutions == want.resolutions
+        assert got.gop_ids == want.gop_ids and got.granularity_gops == want.granularity_gops
+        for name in ("chosen_res", "chosen_score", "per_rung_mean", "flips"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.shape == b.shape, name
+            assert np.array_equal(a, b, equal_nan=True), name
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda doc: doc["selections"][5].update(resolution=[1, 1]),
+            lambda doc: doc["selections"][0].update(resolution=[640, 360, 1]),
+            lambda doc: doc["resolutions"].pop(),
+            lambda doc: doc["selections"][7].pop("score"),
+            lambda doc: doc["selections"][3].pop("content_id"),
+            lambda doc: doc["selections"][1].update(score="high"),
+            lambda doc: doc.update(n_gops=-1),
+            lambda doc: doc.update(rungs=[]),
+        ],
+    )
+    def test_reader_errors_match(self, edit):
+        doc = json.loads(json.dumps(io.trace_to_dict(unicode_trace(1))))
+        edit(doc)
+        with pytest.raises(InputError):
+            oracle_trace_from_dict(doc)
+        with pytest.raises(InputError):
+            io.trace_from_dict(doc)
+
+    def test_repeated_resolution_reads_as_first(self):
+        doc = json.loads(json.dumps(io.trace_to_dict(unicode_trace(1))))
+        doc["resolutions"].append(doc["resolutions"][0])
+        got, want = io.trace_from_dict(doc), oracle_trace_from_dict(doc)
+        assert np.array_equal(got.chosen_res, want.chosen_res)
 
     def test_round_trip_through_reader(self, tmp_path):
         trace = unicode_trace(3)
