@@ -33,9 +33,21 @@ def average_ranks(a: np.ndarray) -> np.ndarray:
     """1-based ranks of ``a``, ties sharing the mean of their ranks.
 
     Every rank is an integer or half-integer below 2**52, so it is exact
-    in float64 whatever the algorithm."""
-    _, group, counts = np.unique(a, return_inverse=True, return_counts=True)
-    return (np.cumsum(counts) - 0.5 * (counts - 1))[group]
+    in float64 whatever the algorithm.  NaNs, sorted last, tie as one
+    group, as in ``np.unique``."""
+    order = a.argsort()
+    s = a[order]
+    # Where each run of equal sorted values starts; the run from start to
+    # end holds ranks start + 1 ... end, whose mean is (start + end + 1) / 2.
+    new = np.empty(a.size, dtype=bool)
+    new[:1] = True
+    np.not_equal(s[1:], s[:-1], out=new[1:])
+    new[1:] &= ~np.isnan(s[:-1])
+    starts = np.flatnonzero(new)
+    ends = np.append(starts[1:], a.size)
+    ranks = np.empty(a.size)
+    ranks[order] = np.repeat(0.5 * (starts + ends + 1), ends - starts)
+    return ranks
 
 
 def spearman(x, y) -> float:

@@ -70,7 +70,8 @@ class RegressionTree:
         """Grow the tree on every row of X (the tree's own sample)."""
         X = np.asarray(X, dtype=float)
         n, d = X.shape
-        _grow(X, [_Growth(self, np.arange(n), np.asarray(y, dtype=float), np.arange(d), rng, params)])
+        # One node's draws at a time leave rng where rng.choice leaves it.
+        _grow(X, [_Growth(self, np.arange(n), np.asarray(y, dtype=float), np.arange(d), rng, params, 1)])
         return self
 
     def predict(self, X: np.ndarray) -> np.ndarray:
@@ -116,6 +117,10 @@ class RegressionForest:
     # All trees' nodes in one set of arrays (see _concat_trees); set by
     # fit and from_dict.
     _nodes: tuple | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.seed < 0:
+            raise InvalidHyperparameter(f"seed must be >= 0, got {self.seed}")
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "RegressionForest":
         X = np.asarray(X, dtype=float)
@@ -253,7 +258,7 @@ def fit_forests(X: np.ndarray, jobs) -> None:
             sample = rows[rng.integers(0, n, size=n)] if params.bootstrap else rows
             tree = RegressionTree()
             forest.trees.append(tree)
-            growths.append(_Growth(tree, sample, labels, cols, rng, params))
+            growths.append(_Growth(tree, sample, labels, cols, rng, params, _DRAW_BLOCK))
             n_rows += n
             if n_rows >= _LOCKSTEP_ROWS:
                 _grow(X, growths)
@@ -268,6 +273,10 @@ def fit_forests(X: np.ndarray, jobs) -> None:
 _LOCKSTEP_ROWS = 1 << 20
 # Padded (node, drawn feature, row) elements of one batched split search.
 _BATCH_ELEMENTS = 1 << 16
+# Searched nodes whose feature draws one generator call makes, for the
+# trees of fit_forests: their generators are dropped after the tree, so
+# drawing past a tree's last node cannot be seen.
+_DRAW_BLOCK = 32
 
 _add_reduce = np.add.reduce
 
@@ -275,14 +284,16 @@ _add_reduce = np.add.reduce
 class _Growth:
     """A tree being grown: its sample (as rows of the shared matrix), the
     labels by row, its columns of the matrix, its generator and the
-    depth-first stack of nodes still to visit."""
+    depth-first stack of nodes still to visit.  Its feature draws come
+    from its generator ``block`` searched nodes at a time (see ``draw``)."""
 
     __slots__ = (
         "tree", "labels", "cols", "col_offset", "rng", "d", "mtry", "all_features", "max_depth", "min_leaf",
-        "stack", "feature", "threshold", "left", "right", "value", "gains",
+        "stack", "feature", "threshold", "left", "right", "value", "gains", "draw_span", "draw_bounds", "draws",
+        "drawn",
     )
 
-    def __init__(self, tree, sample, labels, cols, rng, params):
+    def __init__(self, tree, sample, labels, cols, rng, params, block):
         if cols.size == 0:
             raise EmptyTrainingSet("the feature matrix has no columns: a tree needs at least one feature")
         self.tree = tree
@@ -297,7 +308,25 @@ class _Growth:
         self.min_leaf = params.min_leaf
         self.stack = [(sample, 0, -1, False)]
         self.feature, self.threshold, self.left, self.right, self.value = [], [], [], [], []
-        self.gains = np.zeros(self.d)
+        # Python floats add with the bits of a float64 array, and faster.
+        self.gains = [0.0] * self.d
+        if self.mtry < self.d:
+            bounds = _choice_bounds(self.d, self.mtry)
+            self.draw_span = len(bounds)
+            self.draw_bounds = np.tile(np.add(bounds, 1), block)
+        self.draws, self.drawn = [], 0
+
+    def draw(self) -> list:
+        """The features ``rng.choice(d, size=mtry, replace=False)`` draws
+        next: the generator's bounded integers for ``block`` nodes come
+        from one ``integers`` call, which draws them from the stream in
+        the same order, and each node's are replayed here."""
+        start = self.drawn
+        if start == len(self.draws):
+            self.draws = self.rng.integers(0, self.draw_bounds).tolist()
+            start = 0
+        self.drawn = end = start + self.draw_span
+        return _choice_replay(self.d, self.mtry, self.draws[start:end])
 
     def next_search(self):
         """Visit nodes in depth-first preorder, left child first, up to the
@@ -312,8 +341,8 @@ class _Growth:
                 (self.right if is_right else self.left)[parent] = node_id
             n = rows.size
             y_node = labels[rows]
-            total1 = _add_reduce(y_node)
-            value.append(float(total1 / n))  # the same bits as y_node.mean()
+            total1 = float(_add_reduce(y_node))
+            value.append(total1 / n)  # the same bits as y_node.mean()
             self.feature.append(_LEAF)
             self.threshold.append(0.0)
             self.left.append(_LEAF)
@@ -323,14 +352,7 @@ class _Growth:
                 parent_sse = total2 - total1 * total1 / n
                 if parent_sse > 0.0:
                     # The generator draws once per searched node, in preorder.
-                    # A draw of one feature without a size is the same draw
-                    # as with size=1, and takes half the time.
-                    if self.mtry == 1 < self.d:
-                        feats = (self.rng.choice(self.d, replace=False),)
-                    elif self.mtry < self.d:
-                        feats = self.rng.choice(self.d, size=self.mtry, replace=False)
-                    else:
-                        feats = self.all_features
+                    feats = self.draw() if self.mtry < self.d else self.all_features
                     return (self, node_id, depth, rows, y_node, total1, total2, parent_sse, feats)
         t = self.tree
         t.feature = np.asarray(self.feature, dtype=np.int64)
@@ -338,8 +360,39 @@ class _Growth:
         t.left = np.asarray(self.left, dtype=np.int64)
         t.right = np.asarray(self.right, dtype=np.int64)
         t.value = np.asarray(self.value, dtype=float)
-        t.gains = self.gains
+        t.gains = np.asarray(self.gains, dtype=float)
         return None
+
+
+def _choice_bounds(d: int, m: int) -> list:
+    """The inclusive upper bounds of the integers, in draw order, from which
+    ``Generator.choice(d, size=m, replace=False)`` (0 < m < d) builds its
+    sample: for d > 10 000 and m > d // 50 a tail shuffle of ``arange(d)``,
+    else Floyd's sampler and then a shuffle of the m picks."""
+    if d > 10_000 and m > d // 50:
+        return list(range(d - 1, max(d - m, 1) - 1, -1))
+    return [*range(d - m, d), *range(m - 1, 0, -1)]
+
+
+def _choice_replay(d: int, m: int, draws: list) -> list:
+    """The sample ``Generator.choice(d, size=m, replace=False)`` builds from
+    the bounded integers ``draws`` (see ``_choice_bounds``)."""
+    if m == 1:  # Floyd's sampler keeps its one draw, and nothing is shuffled
+        return draws
+    if d > 10_000 and m > d // 50:
+        pool = list(range(d))
+        for i, k in zip(range(d - 1, 0, -1), draws):
+            pool[i], pool[k] = pool[k], pool[i]
+        return pool[d - m :]
+    picks, seen = [], set()
+    for j, v in zip(range(d - m, d), draws):
+        if v in seen:
+            v = j
+        seen.add(v)
+        picks.append(v)
+    for i, k in zip(range(m - 1, 0, -1), draws[m:]):
+        picks[i], picks[k] = picks[k], picks[i]
+    return picks
 
 
 def _grow(X: np.ndarray, growths: list) -> None:

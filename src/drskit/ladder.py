@@ -276,14 +276,28 @@ def optimize_ladder_exhaustive(problem: LadderProblem) -> LadderSolution:
     for b, idx in zip(rungs, members):
         if len(idx) > _EXHAUSTIVE_CANDIDATE_LIMIT:
             raise TooManyCandidates(f"rung {b} has {len(idx)} candidates, more than {_EXHAUSTIVE_CANDIDATE_LIMIT}")
-    cols = np.stack([problem.candidate_column(c) for c in cands], axis=1)
+    cols = np.stack([problem.candidate_column(c) for c in cands])
 
-    def scored(b, idx, s):  # each size-s subset's term, in combinations order; NaN (0 * inf) as -inf
-        values = [problem.weights[b] * float(np.max(cols[:, c], axis=1).sum()) for c in itertools.combinations(idx, s)]
-        return np.fmax(values, -np.inf)
+    def scored(b, idx, top):
+        """Each subset's term, by size up to top, in combinations order;
+        NaN (0 * inf) as -inf.  A depth-first walk visits the subsets of
+        each size in that order, and extends its parent's per-GOP max by
+        one column."""
+        own = cols[idx]
+        values: dict[int, list[np.ndarray]] = {s: [] for s in range(1, top + 1)}
+
+        def walk(parent_max, first, size):
+            children = own[first:] if parent_max is None else np.maximum(parent_max, own[first:])
+            values[size].append(problem.weights[b] * children.sum(axis=1))
+            if size < top:
+                for i, child in enumerate(children[:-1], first + 1):
+                    walk(child, i, size + 1)
+
+        walk(None, 0, 1)
+        return {s: np.fmax(np.concatenate(v), -np.inf) for s, v in values.items()}
 
     spare = k - len(rungs) + 1  # the most candidates one rung can take
-    terms = [{s: scored(b, idx, s) for s in range(1, min(len(idx), spare) + 1)} for b, idx in zip(rungs, members)]
+    terms = [scored(b, idx, min(len(idx), spare)) for b, idx in zip(rungs, members)]
     tops = [{s: t.max() for s, t in by_size.items()} for by_size in terms]
 
     def reach(best: dict[int, float], r: int) -> dict[int, float]:

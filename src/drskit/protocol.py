@@ -15,7 +15,7 @@ import numpy as np
 from .corr import spearman
 from .errors import InsufficientContents, InvalidHyperparameter, InvariantError, SchemaMismatch
 from .forest import TreeParams, fit_forests
-from .vqm import DEFAULT_BASE_FEATURES, FeatureSchema, GopRecord, _fit_base, _labeled_matrix, predict_batch
+from .vqm import DEFAULT_BASE_FEATURES, FeatureSchema, GopRecord, _fit_base, _labeled_matrix
 
 __all__ = [
     "CvConfig",
@@ -39,6 +39,8 @@ class CvConfig:
             raise InvalidHyperparameter(f"folds must be >= 2, got {self.folds}")
         if self.runs < 1:
             raise InvalidHyperparameter(f"runs must be >= 1, got {self.runs}")
+        if self.seed < 0:
+            raise InvalidHyperparameter(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -102,6 +104,10 @@ def _cross_validate(X, y, content_ids, candidates, cv, hyperparams, base_feature
     rows_of = [np.flatnonzero(codes == k) for k in range(len(contents))]
 
     rows: list[list[CvRow]] = [[] for _ in candidates]
+    # Every content is held out once per run: each candidate's metrics by
+    # (content, run).
+    srocc = np.empty((len(candidates), len(contents), cv.runs))
+    rmse = np.empty_like(srocc)
     for run in range(cv.runs):
         rng = np.random.default_rng(np.random.SeedSequence((cv.seed, run)))
         perm = rng.permutation(len(contents))
@@ -118,36 +124,71 @@ def _cross_validate(X, y, content_ids, candidates, cv, hyperparams, base_feature
                     X[np.ix_(train_rows, cols)], y[train_rows], schema, hyperparams, train_seed, base_features
                 )
                 jobs.append((model.forest, train_rows, cols, residual))
-                tests.append((c, fold_i, group, model))
+                tests.append((c, fold_i, np.sort(group), model))
         fit_forests(X, jobs)
-        for c, fold_i, group, model in tests:
-            for k in np.sort(group):
+        for c, fold_i, held, model in tests:
+            # A tree walks each row on its own, so one forest pass serves the
+            # whole fold.  The base's matrix product stays per content: its
+            # BLAS bits depend on a row's place in the block.
+            X_fold = X[np.ix_(np.concatenate([rows_of[k] for k in held]), candidates[c][0])]
+            forest_preds = model.forest.predict(X_fold)
+            end = 0
+            for k in held.tolist():
                 test = rows_of[k]
+                start, end = end, end + test.size
                 labels = y[test]
-                preds = predict_batch(model, X[np.ix_(test, candidates[c][0])])
-                rmse = float(np.sqrt(np.mean((preds - labels) ** 2)))
-                rows[c].append(CvRow(run, fold_i, contents[k], test.size, _content_srocc(labels, preds), rmse))
-    return [_summarize(tuple(r), contents) for r in rows]
+                preds = model.scores(X_fold[start:end], forest_preds[start:end])
+                rho, err = _content_srocc(labels, preds), float(np.sqrt(np.mean((preds - labels) ** 2)))
+                srocc[c, k, run], rmse[c, k, run] = rho, err
+                rows[c].append(CvRow(run, fold_i, contents[k], test.size, rho, err))
+    return [_summarize(tuple(r), contents, *medians) for r, *medians in zip(rows, srocc, rmse)]
 
 
-def _summarize(rows: tuple[CvRow, ...], contents: list[str]) -> CvResult:
-    """Per-content medians over runs, then their mean across contents."""
-    per_content: dict[str, dict[str, float]] = {}
-    for c in contents:
-        c_rows = [r for r in rows if r.content_id == c]
-        if not c_rows:
-            continue
-        sroccs = np.array([r.srocc for r in c_rows])
-        rmses = np.array([r.rmse for r in c_rows])
-        med_srocc = float(np.nanmedian(sroccs)) if not np.all(np.isnan(sroccs)) else float("nan")
-        per_content[c] = {"srocc": med_srocc, "rmse": float(np.median(rmses))}
-
-    srocc_meds = [v["srocc"] for v in per_content.values() if not np.isnan(v["srocc"])]
+def _summarize(rows: tuple[CvRow, ...], contents: list[str], srocc: np.ndarray, rmse: np.ndarray) -> CvResult:
+    """Per-content medians over runs (the rows of the contents-by-runs
+    ``srocc`` and ``rmse``), then their mean across contents."""
+    med_srocc = _row_nanmedians(srocc)
+    med_rmse = _row_medians(rmse)
+    per_content = {c: {"srocc": s, "rmse": r} for c, s, r in zip(contents, med_srocc.tolist(), med_rmse.tolist())}
+    srocc_meds = med_srocc[~np.isnan(med_srocc)]
     aggregate = {
-        "srocc": float(np.mean(srocc_meds)) if srocc_meds else float("nan"),
-        "rmse": float(np.mean([v["rmse"] for v in per_content.values()])),
+        "srocc": float(np.mean(srocc_meds)) if srocc_meds.size else float("nan"),
+        "rmse": float(np.mean(med_rmse)),
     }
     return CvResult(rows, per_content, aggregate)
+
+
+def _row_medians(M: np.ndarray) -> np.ndarray:
+    """``np.median`` of each row of M, bit for bit: the same partition of
+    the row (which fixes whether -0.0 or 0.0 is picked where they tie),
+    the same mean of its middle values (a sum that starts from 0.0), and
+    NaN for a row holding NaN."""
+    width = M.shape[1]
+    half = width // 2
+    kth = [half - 1, half, -1] if width % 2 == 0 else [half, -1]
+    part = np.partition(M, kth, axis=1)
+    med = (0.0 + part[:, half - 1] + part[:, half]) / 2 if width % 2 == 0 else 0.0 + part[:, half]
+    last = part[:, -1]  # NaN sorts last
+    np.copyto(med, last, where=np.isnan(last))
+    return med
+
+
+def _row_nanmedians(M: np.ndarray) -> np.ndarray:
+    """``np.nanmedian`` of each row of M, bit for bit, and NaN for a row of
+    NaNs only."""
+    med = _row_medians(M)
+    nan = np.isnan(M)
+    for i in np.flatnonzero(nan.any(axis=1)).tolist():
+        gaps = np.flatnonzero(nan[i])
+        if gaps.size == M.shape[1]:
+            continue
+        # np.nanmedian moves the row's last values into its NaNs' places
+        # and takes the median of what is left, in that order.
+        row = M[i].copy()
+        tail = row[-gaps.size :][~nan[i, -gaps.size :]]
+        row[gaps[: tail.size]] = tail
+        med[i] = _row_medians(row[None, : -gaps.size])[0]
+    return med
 
 
 @dataclass(frozen=True)

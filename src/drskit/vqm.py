@@ -125,8 +125,11 @@ class ForestModel:
         idx = [self.schema.index(n) for n in self.base_feature_names]
         return self.base_intercept + X[:, idx] @ self.base_coefs
 
-    def raw_predict(self, X: np.ndarray) -> np.ndarray:
-        return self.base_predict(X) + self.forest.predict(X)
+    def scores(self, X: np.ndarray, forest_preds: np.ndarray) -> np.ndarray:
+        """The quality of the rows of X, given the forest's predictions for
+        them: the base plus the forest, clamped to the score range."""
+        lo, hi = self.clamp
+        return np.clip(self.base_predict(X) + forest_preds, lo, hi)
 
 
 def _labeled_matrix(records: list[GopRecord], schema: FeatureSchema) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
@@ -208,8 +211,7 @@ def predict_batch(model: ForestModel, X) -> np.ndarray:
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != len(model.schema):
         raise SchemaMismatch(f"expected (n, {len(model.schema)}) feature matrix, got {X.shape}")
-    lo, hi = model.clamp
-    return np.clip(model.raw_predict(X), lo, hi)
+    return model.scores(X, model.forest.predict(X))
 
 
 def feature_importance(model: ForestModel) -> dict[str, float]:

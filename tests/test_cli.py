@@ -521,8 +521,9 @@ class TestMalformedJson:
         assert "Traceback" not in err
 
 
-# Run in a fresh interpreter: prints the exit code of the given CLI call
-# and the scipy modules loaded by the import of drskit.cli and that call.
+# Run in a fresh interpreter: prints the exit code of the given CLI call,
+# the scipy and drskit modules loaded by the import of drskit.cli and that
+# call, and whether they loaded numpy.ma.
 IMPORT_PROBE = """
 import json, sys
 from drskit.cli import main
@@ -531,7 +532,7 @@ try:
 except SystemExit as exc:  # --version
     code = exc.code
 loaded = {p: sorted(m for m in sys.modules if m.split(".")[0] == p) for p in ("scipy", "drskit")}
-print(json.dumps({"code": code, **loaded}))
+print(json.dumps({"code": code, **loaded, "numpy.ma": "numpy.ma" in sys.modules}))
 """
 
 # The forest, the quality model and the Annex-B parser.
@@ -590,6 +591,7 @@ class TestImportBudget:
             "train": ["train", "--features", features, "--trees", 3],
             "cv": ["cv", "--features", features, *forest],
             "gfs": ["gfs", "--features", features, *forest],
+            "cv --runs 2": ["cv", "--features", features, *forest, "--runs", 2],
             "report": ["report", "--baseline-trace", golden, "--drs-trace", golden],
         }
         argv = {c: a if c == "extract-features" else [*a, "--out", tmp / c] for c, a in argv.items()}
@@ -685,6 +687,11 @@ class TestImportBudget:
     @pytest.mark.parametrize("command", ["cv", "gfs"])
     def test_cv_and_gfs_load_no_scipy(self, loaded, command):
         assert loaded(command) == []
+
+    # np.median loads numpy.ma (about 15 ms); the CV medians do not use it.
+    @pytest.mark.parametrize("command", ["train", "cv", "cv --runs 2", "gfs"])
+    def test_model_commands_load_no_numpy_ma(self, probed, command):
+        assert probed(command)["numpy.ma"] is False
 
     def test_report_loads_no_scipy(self, loaded):
         assert loaded("report") == []

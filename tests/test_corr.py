@@ -142,6 +142,14 @@ class TestAgainstScipy:
         a = np.asarray(x, dtype=float)
         assert np.array_equal(average_ranks(a), stats.rankdata(a))
 
+    @given(st.lists(few_values | st.sampled_from([np.nan, np.inf, -np.inf]) | finite, min_size=1, max_size=60))
+    @settings(max_examples=300, deadline=None)
+    def test_average_ranks_equal_the_unique_formula(self, x):
+        # np.unique ties -0.0 with 0.0 and every NaN with every other.
+        a = np.asarray(x, dtype=float)
+        _, group, counts = np.unique(a, return_inverse=True, return_counts=True)
+        assert average_ranks(a).tobytes() == (np.cumsum(counts) - 0.5 * (counts - 1))[group].tobytes()
+
     def test_rejects_unequal_or_short_samples(self):
         with pytest.raises(ValueError):
             spearman([1.0, 2.0, 3.0], [1.0, 2.0])

@@ -13,7 +13,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drskit.forest import RegressionForest, TreeParams, fit_forests
+from drskit.forest import _DRAW_BLOCK, RegressionForest, RegressionTree, TreeParams, _Growth, fit_forests
 
 _LEAF = -1
 
@@ -262,11 +262,48 @@ def test_no_forests_is_a_no_op():
 
 
 def test_one_feature_draw_without_a_size_is_the_size_one_draw():
-    # The grower draws a node's single feature with choice(d) and no
-    # size; the stream must stay that of choice(d, size=1).
+    # A single-feature draw, choice(d) without a size, reads the stream
+    # as choice(d, size=1) does: one bounded integer in [0, d - 1].
     for d in range(2, 40):
         for seed in range(5):
             a, b = np.random.default_rng(seed), np.random.default_rng(seed)
             for _ in range(50):
                 assert a.choice(d, replace=False) == b.choice(d, size=1, replace=False)[0]
             assert a.bit_generator.state == b.bit_generator.state
+
+
+def block_drawer(d, m, seed, block=_DRAW_BLOCK):
+    """A tree grower over d features that draws m of them per node."""
+    params = TreeParams(feature_subsample=m)
+    assert params.mtry(d) == m
+    rng = np.random.default_rng(seed)
+    return _Growth(RegressionTree(), np.arange(2), np.zeros(2), np.arange(d), rng, params, block)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 64).flatmap(lambda d: st.tuples(st.just(d), st.integers(1, d - 1))), st.integers(0, 2**32 - 1))
+def test_block_draws_are_successive_choice_draws(dm, seed):
+    d, m = dm
+    grower, rng = block_drawer(d, m, seed), np.random.default_rng(seed)
+    # Past two blocks, so that a block is drawn after another.
+    for _ in range(2 * _DRAW_BLOCK + 3):
+        assert grower.draw() == rng.choice(d, size=m, replace=False).tolist()
+
+
+def test_block_draws_in_the_tail_shuffle_regime():
+    # choice shuffles the tail of arange(d) when d > 10 000 and m > d // 50.
+    for d, m in [(20_000, 1_000), (12_000, 300), (20_000, 19_999), (10_001, 201), (10_001, 200), (10_000, 201)]:
+        grower, rng = block_drawer(d, m, d + m, block=2), np.random.default_rng(d + m)
+        for _ in range(3):
+            assert grower.draw() == rng.choice(d, size=m, replace=False).tolist()
+
+
+@settings(max_examples=100, deadline=None)
+@given(forest_cases())
+def test_tree_leaves_the_callers_generator_where_the_oracle_does(case):
+    X, y, params, seed, _ = case
+    mine, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+    tree = RegressionTree().fit(X, y, mine, params)
+    oracle = OracleTree().fit(X, y, theirs, params)
+    assert json.dumps(tree.to_dict()) == json.dumps(oracle.to_dict())
+    assert mine.bit_generator.state == theirs.bit_generator.state

@@ -177,3 +177,20 @@ def test_large_qualities_fit_without_warnings(command):
     assert code == 0, err.getvalue()
     assert err.getvalue() == ""
     assert [str(w.message) for w in caught] == []
+
+
+# A negative seed is a bad option (exit 2); numpy's SeedSequence would
+# reject it with a ValueError deep inside the fit.
+@pytest.mark.parametrize("target", ["feature-log/train", "feature-log/cv", "feature-log/gfs"])
+def test_negative_seed_exits_2(target):
+    filename, original, argv = TARGETS[target]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / filename
+        path.write_bytes(original)
+        args = [str(path if a is None else a) for a in argv] + ["--seed", "-1", "--out", str(Path(tmp) / "out")]
+        err = stdio.StringIO()
+        with contextlib.redirect_stdout(stdio.StringIO()), contextlib.redirect_stderr(err):
+            code = main(args)
+    assert code == 2, err.getvalue()
+    assert "InvalidHyperparameter" in err.getvalue()
+    assert "Traceback" not in err.getvalue()

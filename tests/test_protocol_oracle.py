@@ -13,10 +13,22 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from drskit.corr import spearman
 from drskit.errors import InsufficientContents, InvariantError, SchemaMismatch
-from drskit.protocol import CvConfig, CvResult, CvRow, GfsResult, GfsStep, cross_validate, greedy_feature_selection
+from drskit.protocol import (
+    CvConfig,
+    CvResult,
+    CvRow,
+    GfsResult,
+    GfsStep,
+    _row_medians,
+    _row_nanmedians,
+    cross_validate,
+    greedy_feature_selection,
+)
 from drskit.vqm import DEFAULT_BASE_FEATURES, FeatureSchema, GopRecord, Hyperparams, predict_batch, train
 
 
@@ -213,3 +225,24 @@ def test_unlabeled_rows_with_the_wrong_length_are_ignored():
     assert bits(got) == bits(want)
     with pytest.raises(SchemaMismatch):
         cross_validate(records[:-1] + [dataclasses.replace(records[-1], label_jod=1.0)], SCHEMA, cv)
+
+
+# Ties of -0.0 and 0.0, NaN, infinities and a few repeated values.
+MEDIAN_VALUES = st.one_of(
+    st.sampled_from([np.nan, 0.0, -0.0, np.inf, -np.inf, 1.0, -1.0, 0.5]),
+    st.floats(allow_nan=False, width=64),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 9), st.data())
+def test_row_medians_are_numpys_bit_for_bit(n_rows, width, data):
+    M = np.array(data.draw(st.lists(MEDIAN_VALUES, min_size=n_rows * width, max_size=n_rows * width))).reshape(
+        n_rows, width
+    )
+    if data.draw(st.booleans()):
+        M[data.draw(st.integers(0, n_rows - 1))] = np.nan  # an all-NaN row
+    want = [np.median(row) for row in M]
+    want_nan = [np.nanmedian(row) if not np.isnan(row).all() else np.nan for row in M]
+    assert _row_medians(M).tobytes() == np.array(want).tobytes()
+    assert _row_nanmedians(M).tobytes() == np.array(want_nan).tobytes()
