@@ -1,6 +1,6 @@
 """Command-line pipeline driver.
 
-Every command echoes its resolved invocation to
+Every command that succeeds echoes its resolved invocation to
 ``<out dir>/<command>.run_config.json``; ``drskit replay`` re-runs any
 echo and reproduces the outputs byte for byte.  Exit codes: 0 success,
 2 input/schema error, 3 computation infeasibility, 4 internal error.
@@ -9,6 +9,7 @@ echo and reproduces the outputs byte for byte.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import traceback
 from collections import defaultdict
@@ -23,6 +24,7 @@ import numpy as np
 # when it runs.
 from . import __version__, io
 from .errors import InputError, ToolkitError
+from .ladder import _res_key
 
 if TYPE_CHECKING:
     from .curves import RDCurve
@@ -31,13 +33,14 @@ if TYPE_CHECKING:
 __all__ = ["main"]
 
 
-def _echo_config(out_dir: Path, command: str, argv: list[str], args=None) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    doc = {"tool": "drskit", "version": __version__, "command": command, "argv": argv}
-    if args is not None:
-        params = {k: v for k, v in vars(args).items() if k != "func"}
-        doc["params"] = {k: (str(v) if isinstance(v, Path) else v) for k, v in params.items()}
-    io.write_json(out_dir / f"{command}.run_config.json", doc)
+def _echo_config(args, argv: list[str]) -> None:
+    """Write ``<command>.run_config.json`` into the command's output
+    directory (``extract-features``: its output file's directory)."""
+    out = Path(args.out)
+    out_dir = out.parent if args.command == "extract-features" else out
+    params = {k: v for k, v in vars(args).items() if k != "func"}
+    doc = {"tool": "drskit", "version": __version__, "command": args.command, "argv": argv, "params": params}
+    io.write_json(out_dir / f"{args.command}.run_config.json", doc)
 
 
 def _parse_pair(text: str) -> tuple[tuple[int, int], tuple[int, int]]:
@@ -46,7 +49,7 @@ def _parse_pair(text: str) -> tuple[tuple[int, int], tuple[int, int]]:
         raise InputError(f"pair {text!r} is not WxH:WxH")
     a = io.parse_resolution(parts[0])
     b = io.parse_resolution(parts[1])
-    lo, hi = sorted((a, b), key=lambda r: r[0] * r[1])
+    lo, hi = sorted((a, b), key=_res_key)
     return lo, hi
 
 
@@ -83,15 +86,6 @@ def _base_features(args) -> tuple[str, ...]:
     return tuple(n.strip() for n in args.base_features.split(",") if n.strip())
 
 
-def _add_hyperparam_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--trees", type=int, default=100, help="number of residual trees")
-    p.add_argument("--max-depth", type=int, default=12, help="tree depth limit (0 = unlimited)")
-    p.add_argument("--min-leaf", type=int, default=4, help="minimum samples per leaf")
-    p.add_argument("--feature-subsample", default="sqrt", help="per-split feature pool: sqrt, all, int or fraction")
-    p.add_argument("--no-bootstrap", action="store_true", help="disable bootstrap resampling")
-    p.add_argument("--base-features", default=None, help="comma-separated base-model feature names")
-
-
 def _mean_rd_curves(args) -> dict[str, dict[tuple[int, int], RDCurve]]:
     """Per (content, resolution) RD curves from either input kind."""
     from .curves import RDCurve
@@ -122,19 +116,7 @@ def _mean_rd_curves(args) -> dict[str, dict[tuple[int, int], RDCurve]]:
     return curves
 
 
-def _add_curve_source_args(p: argparse.ArgumentParser) -> None:
-    src = p.add_mutually_exclusive_group(required=True)
-    src.add_argument("--quality-log", help="quality-log CSV (per-rung mean scores are fitted)")
-    src.add_argument("--scored-points", help="scored-points CSV")
-    p.add_argument(
-        "--column",
-        choices=("subjective_jod", "objective_score"),
-        default="subjective_jod",
-        help="scored-points column to fit",
-    )
-
-
-def cmd_extract_features(args, argv) -> int:
+def cmd_extract_features(args) -> int:
     from .avc.features import extract_gop_features
 
     data = Path(args.input).read_bytes()
@@ -143,7 +125,6 @@ def cmd_extract_features(args, argv) -> int:
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     io.write_feature_log(out, content_id, rows)
-    _echo_config(out.parent, "extract-features", argv, args)
     print(f"wrote {len(rows)} GOP rows to {out}")
     if diag.leading_garbage_bytes or diag.forbidden_bit_violations or diag.truncated_final:
         print(
@@ -153,13 +134,13 @@ def cmd_extract_features(args, argv) -> int:
     return 0
 
 
-def cmd_fit(args, argv) -> int:
+def cmd_fit(args) -> int:
     from .rdmodel import MIN_FIT_POINTS, fit_logistic
 
     curves = _mean_rd_curves(args)
     fits = []
     for content in sorted(curves):
-        for res in sorted(curves[content], key=lambda r: r[0] * r[1]):
+        for res in sorted(curves[content], key=_res_key):
             curve = curves[content][res]
             if len(curve.points) < MIN_FIT_POINTS:
                 continue
@@ -169,25 +150,22 @@ def cmd_fit(args, argv) -> int:
         raise InputError(f"no (content, resolution) group has the {MIN_FIT_POINTS}+ points needed for a fit")
     out = Path(args.out)
     io.write_json(out / "fits.json", {"fits": fits})
-    _echo_config(out, "fit", argv, args)
     print(f"wrote {len(fits)} fits to {out / 'fits.json'}")
     return 0
 
 
-def cmd_crossover(args, argv) -> int:
+def cmd_crossover(args) -> int:
     from .rdmodel import MIN_FIT_POINTS, find_crossover, fit_logistic
 
     curves = _mean_rd_curves(args)
-    fits = {}  # a resolution shared by two pairs is fitted once
 
+    @functools.cache  # a resolution shared by two pairs is fitted once
     def fitted(content, res):
-        if (content, res) not in fits:
-            fits[content, res] = fit_logistic(curves[content][res])
-        return fits[content, res]
+        return fit_logistic(curves[content][res])
 
     results = []
     for content in sorted(curves):
-        res_list = sorted(curves[content], key=lambda r: r[0] * r[1])
+        res_list = sorted(curves[content], key=_res_key)
         pairs = [_parse_pair(p) for p in args.pair.split(",")] if args.pair else list(zip(res_list, res_list[1:]))
         for lo_res, hi_res in pairs:
             if lo_res not in curves[content] or hi_res not in curves[content]:
@@ -215,12 +193,11 @@ def cmd_crossover(args, argv) -> int:
         raise InputError("no resolution pair had two fittable curves")
     out = Path(args.out)
     io.write_json(out / "crossovers.json", {"crossovers": results})
-    _echo_config(out, "crossover", argv, args)
     print(f"wrote {len(results)} cross-over results to {out / 'crossovers.json'}")
     return 0
 
 
-def cmd_bench_rcql(args, argv) -> int:
+def cmd_bench_rcql(args) -> int:
     from .rcql import build_report
 
     points = io.load_scored_points(args.scored_points, args.units)
@@ -229,12 +206,11 @@ def cmd_bench_rcql(args, argv) -> int:
     out = Path(args.out)
     io.write_json(out / "rcql_report.json", report.to_dict())
     io.write_rcql_csv(out / "rcql_rows.csv", out / "rcql_pairs.csv", report)
-    _echo_config(out, "bench-rcql", argv, args)
     print(f"srocc={report.srocc:.4f} plcc={report.plcc:.4f} rows={len(report.rows)} skipped={len(report.skipped)}")
     return 0
 
 
-def cmd_analyze_gops(args, argv) -> int:
+def cmd_analyze_gops(args) -> int:
     from .ladder import best_resolution_probability, cumulative_probability
 
     log = io.load_quality_log(args.log, args.units)
@@ -253,12 +229,11 @@ def cmd_analyze_gops(args, argv) -> int:
             "cumulative": cum.probabilities.tolist(),
         },
     )
-    _echo_config(out, "analyze-gops", argv, args)
     print(f"analyzed {log.n_gops} GOPs x {len(log.rungs)} rungs x {len(log.resolutions)} resolutions")
     return 0
 
 
-def cmd_select_ladder(args, argv) -> int:
+def cmd_select_ladder(args) -> int:
     from .ladder import LadderProblem, optimize_ladder_exhaustive, optimize_ladder_greedy, weights_from_bandwidth
 
     log = io.load_quality_log(args.log, args.units)
@@ -277,7 +252,6 @@ def cmd_select_ladder(args, argv) -> int:
     out = Path(args.out)
     io.write_json(out / "ladder_solution.json", io.solution_to_dict(solution))
     io.save_ladder(out / "ladder.json", solution.rung_map())
-    _echo_config(out, "select-ladder", argv, args)
     print(f"selected {len(solution.selected)} representations, objective {solution.objective:.6f}")
     return 0
 
@@ -287,7 +261,7 @@ def _write_trace_outputs(out: Path, name: str, trace) -> None:
     io.write_trace_csv(out / f"{name}.csv", trace)
 
 
-def cmd_simulate(args, argv) -> int:
+def cmd_simulate(args) -> int:
     from .drs import simulate, trace_rd_points
     from .rdmodel import MIN_FIT_POINTS, fit_logistic
 
@@ -295,7 +269,6 @@ def cmd_simulate(args, argv) -> int:
     ladder = io.load_ladder_or_solution(args.ladder, args.units)
     trace = simulate(log, ladder, granularity_gops=args.granularity)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     _write_trace_outputs(out, "trace", trace)
     drs_curve = trace_rd_points(trace)
     with open(out / "rd_points.csv", "w", encoding="utf-8", newline="") as fh:
@@ -312,7 +285,6 @@ def cmd_simulate(args, argv) -> int:
         baseline_trace = simulate(log, baseline_ladder, granularity_gops=args.granularity)
         _write_trace_outputs(out, "baseline_trace", baseline_trace)
         _write_bd_and_gains(out, baseline_trace, trace)
-    _echo_config(out, "simulate", argv, args)
     print(f"simulated {log.n_gops} GOPs x {len(log.rungs)} rungs (granularity {args.granularity})")
     return 0
 
@@ -335,18 +307,16 @@ def _write_bd_and_gains(out: Path, baseline_trace, drs_trace) -> None:
     io.write_json(out / "gains_summary.json", gains_summary)
 
 
-def cmd_report(args, argv) -> int:
+def cmd_report(args) -> int:
     baseline_trace = io.load_trace(args.baseline_trace)
     drs_trace = io.load_trace(args.drs_trace)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     _write_bd_and_gains(out, baseline_trace, drs_trace)
-    _echo_config(out, "report", argv, args)
     print(f"wrote BD report and gain histograms to {out}")
     return 0
 
 
-def cmd_train(args, argv) -> int:
+def cmd_train(args) -> int:
     from .vqm import _labeled_matrix, _train_matrix, feature_importance, model_to_dict, predict_batch
 
     records, schema = io.load_feature_log(args.features, args.units)
@@ -364,12 +334,11 @@ def cmd_train(args, argv) -> int:
             "seed": args.seed,
         },
     )
-    _echo_config(out, "train", argv, args)
     print(f"trained on {y.size} records, train rmse {train_rmse:.6f}")
     return 0
 
 
-def cmd_cv(args, argv) -> int:
+def cmd_cv(args) -> int:
     from .protocol import CvConfig, cross_validate
 
     records, schema = io.load_feature_log(args.features, args.units)
@@ -394,12 +363,11 @@ def cmd_cv(args, argv) -> int:
             "per_content": result.per_content,
         },
     )
-    _echo_config(out, "cv", argv, args)
     print(f"cv aggregate: srocc={result.aggregate['srocc']:.4f} rmse={result.aggregate['rmse']:.6f}")
     return 0
 
 
-def cmd_gfs(args, argv) -> int:
+def cmd_gfs(args) -> int:
     from .protocol import CvConfig, greedy_feature_selection
 
     records, schema = io.load_feature_log(args.features, args.units)
@@ -416,18 +384,19 @@ def cmd_gfs(args, argv) -> int:
     )
     out = Path(args.out)
     io.write_json(out / "gfs_result.json", asdict(result))
-    _echo_config(out, "gfs", argv, args)
     print(f"selected {len(result.selected)} features: {', '.join(result.selected) or '(none)'}")
     return 0
 
 
-def cmd_replay(args, argv) -> int:
+def cmd_replay(args) -> int:
     doc = io.read_json(args.config)
     if not isinstance(doc, dict) or doc.get("tool") != "drskit":
         raise InputError(f"{args.config} is not a drskit run config")
     replay_argv = doc.get("argv")
     if not isinstance(replay_argv, list) or not all(isinstance(a, str) for a in replay_argv):
         raise InputError(f"{args.config}: 'argv' must be a list of strings")
+    if replay_argv[:1] == ["replay"]:
+        raise InputError(f"{args.config}: a run config cannot replay another run config")
     return main(replay_argv)
 
 
@@ -436,44 +405,70 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"drskit {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("extract-features", help="parse an Annex-B .264 file into a per-GOP feature log")
+    def command(name: str, func, summary: str, *parents: argparse.ArgumentParser) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=summary, parents=parents)
+        p.set_defaults(func=func)
+        return p
+
+    # Options that several commands share, each declared once.
+    shared = functools.partial(argparse.ArgumentParser, add_help=False)
+
+    units = shared()
+    units.add_argument("--units", choices=("kbps", "mbps"), default="kbps", help="unit of every bitrate read")
+    out = shared()
+    out.add_argument("--out", required=True, help="output directory")
+    log = shared()
+    log.add_argument("--log", required=True, help="quality-log CSV")
+    curves = shared()
+    source = curves.add_mutually_exclusive_group(required=True)
+    source.add_argument("--quality-log", help="quality-log CSV (per-rung mean scores are fitted)")
+    source.add_argument("--scored-points", help="scored-points CSV")
+    curves.add_argument(
+        "--column",
+        choices=("subjective_jod", "objective_score"),
+        default="subjective_jod",
+        help="scored-points column to fit",
+    )
+    model = shared()
+    model.add_argument("--features", required=True, help="feature-log CSV with a label_jod column")
+    model.add_argument("--seed", type=int, default=0, help="random seed")
+    model.add_argument("--trees", type=int, default=100, help="number of residual trees")
+    model.add_argument("--max-depth", type=int, default=12, help="tree depth limit (0 = unlimited)")
+    model.add_argument("--min-leaf", type=int, default=4, help="minimum samples per leaf")
+    model.add_argument("--feature-subsample", default="sqrt", help="per-split feature pool: sqrt, all, int or fraction")
+    model.add_argument("--no-bootstrap", action="store_true", help="disable bootstrap resampling")
+    model.add_argument("--base-features", default=None, help="comma-separated base-model feature names")
+
+    # Children share their parents' action objects, so each --runs
+    # default needs a parent of its own.
+    def protocol(runs: int) -> argparse.ArgumentParser:
+        p = shared()
+        p.add_argument("--folds", type=int, default=5, help="content folds per run")
+        p.add_argument("--runs", type=int, default=runs, help="repetitions, each with its own folds")
+        return p
+
+    p = command("extract-features", cmd_extract_features, "parse an Annex-B .264 file into a per-GOP feature log")
     p.add_argument("input", help="Annex-B elementary stream (.264/.h264)")
     p.add_argument("--fps", type=float, required=True, help="frames per second of the stream")
     p.add_argument("--gop-seconds", type=float, default=1.0, help="nominal GOP duration")
     p.add_argument("--content-id", default=None, help="content id for the CSV (default: file stem)")
     p.add_argument("--out", required=True, help="output feature-log CSV path")
-    p.set_defaults(func=cmd_extract_features)
 
-    p = sub.add_parser("fit", help="fit constrained logistic curves per (content, resolution)")
-    _add_curve_source_args(p)
-    p.add_argument("--units", choices=("kbps", "mbps"), default="kbps")
-    p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(func=cmd_fit)
+    command("fit", cmd_fit, "fit constrained logistic curves per (content, resolution)", curves, units, out)
 
-    p = sub.add_parser("crossover", help="locate resolution cross-over bitrates")
-    _add_curve_source_args(p)
+    p = command("crossover", cmd_crossover, "locate resolution cross-over bitrates", curves, units, out)
     p.add_argument("--pair", default=None, help="WxH:WxH[,WxH:WxH...] (default: adjacent resolutions)")
     p.add_argument("--range", type=float, nargs=2, default=None, metavar=("LO", "HI"))
-    p.add_argument("--units", choices=("kbps", "mbps"), default="kbps")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_crossover)
 
-    p = sub.add_parser("bench-rcql", help="benchmark an objective metric against subjective cross-overs")
-    p.add_argument("--scored-points", required=True)
+    summary = "benchmark an objective metric against subjective cross-overs"
+    p = command("bench-rcql", cmd_bench_rcql, summary, units, out)
+    p.add_argument("--scored-points", required=True, help="scored-points CSV")
     p.add_argument("--pairs", default=None, help="WxH:WxH[,WxH:WxH...] (default: adjacent resolutions)")
     p.add_argument("--tie-eps", type=float, default=1e-9)
-    p.add_argument("--units", choices=("kbps", "mbps"), default="kbps")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_bench_rcql)
 
-    p = sub.add_parser("analyze-gops", help="per-rung best-resolution probability tables")
-    p.add_argument("--log", required=True, help="quality-log CSV")
-    p.add_argument("--units", choices=("kbps", "mbps"), default="kbps")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_analyze_gops)
+    command("analyze-gops", cmd_analyze_gops, "per-rung best-resolution probability tables", log, units, out)
 
-    p = sub.add_parser("select-ladder", help="optimize the augmented-ladder representation set")
-    p.add_argument("--log", required=True, help="quality-log CSV")
+    p = command("select-ladder", cmd_select_ladder, "optimize the augmented-ladder representation set", log, units, out)
     p.add_argument("--k", type=int, required=True, help="max total representations")
     p.add_argument("--candidates", default=None, help="candidate ladder JSON (default: all log pairs)")
     p.add_argument("--bandwidth-samples", default=None, help="file with one session bandwidth per line")
@@ -482,69 +477,38 @@ def _build_parser() -> argparse.ArgumentParser:
         "--solver", choices=("greedy", "exhaustive"), default="greedy",
         help="exhaustive is exact for any ladder with at most 20 candidates per rung",
     )
-    p.add_argument("--units", choices=("kbps", "mbps"), default="kbps")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_select_ladder)
 
-    p = sub.add_parser("simulate", help="replay switching decisions over a quality log")
-    p.add_argument("--log", required=True, help="quality-log CSV")
+    p = command("simulate", cmd_simulate, "replay switching decisions over a quality log", log, units, out)
     p.add_argument("--ladder", required=True, help="ladder or solution JSON")
     p.add_argument("--baseline", default=None, help="baseline ladder JSON for BD/gain reporting")
     p.add_argument("--granularity", type=int, default=1, help="decision window in GOPs")
-    p.add_argument("--units", choices=("kbps", "mbps"), default="kbps")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("train", help="train the quality model on a labeled feature log")
-    p.add_argument("--features", required=True, help="feature-log CSV with a label_jod column")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--units", choices=("kbps", "mbps"), default="kbps")
-    _add_hyperparam_args(p)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_train)
+    command("train", cmd_train, "train the quality model on a labeled feature log", model, units, out)
+    command("cv", cmd_cv, "content-split repeated cross-validation", model, protocol(50), units, out)
 
-    p = sub.add_parser("cv", help="content-split repeated cross-validation")
-    p.add_argument("--features", required=True)
-    p.add_argument("--folds", type=int, default=5)
-    p.add_argument("--runs", type=int, default=50)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--units", choices=("kbps", "mbps"), default="kbps")
-    _add_hyperparam_args(p)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_cv)
-
-    p = sub.add_parser("gfs", help="greedy forward feature selection")
-    p.add_argument("--features", required=True)
+    p = command("gfs", cmd_gfs, "greedy forward feature selection", model, protocol(1), units, out)
     p.add_argument("--objective", choices=("srocc", "rmse"), default="srocc")
     p.add_argument("--epsilon", type=float, default=1e-4)
     p.add_argument("--max-features", type=int, default=None)
-    p.add_argument("--folds", type=int, default=5)
-    p.add_argument("--runs", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--units", choices=("kbps", "mbps"), default="kbps")
-    _add_hyperparam_args(p)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_gfs)
 
-    p = sub.add_parser("report", help="BD deltas and gain histograms from two traces")
+    p = command("report", cmd_report, "BD deltas and gain histograms from two traces", out)
     p.add_argument("--baseline-trace", required=True, help="baseline trace JSON")
     p.add_argument("--drs-trace", required=True, help="switching trace JSON")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_report)
 
-    p = sub.add_parser("replay", help="re-run a command from its run_config echo")
+    p = command("replay", cmd_replay, "re-run a command from its run_config echo")
     p.add_argument("config", help="path to a <command>.run_config.json echo")
-    p.set_defaults(func=cmd_replay)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        return args.func(args, argv)
+        code = args.func(args)
+        if code == 0 and args.command != "replay":  # the replayed command echoes itself
+            _echo_config(args, argv)
+        return code
     except ToolkitError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return exc.exit_code

@@ -35,7 +35,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import CsvSchemaError, InputError, InvariantError
-from .ladder import LadderSolution, ProbabilityTable, QualityLog
+from .ladder import LadderSolution, ProbabilityTable, QualityLog, _res_key
 
 if TYPE_CHECKING:
     from .curves import ScoredPoint
@@ -149,7 +149,10 @@ def _gc_paused():
     allocated.  Reading a large CSV through ``csv.reader`` allocates one
     list per row; none of them can be part of a cycle, so the collections
     they trigger free nothing, yet took about a quarter of a 57 600-record
-    log's load time."""
+    log's load time.  ``load_quality_log`` holds the pause over its whole
+    read, numpy path included: a file numpy does not take is read again by
+    ``csv.reader``, whose rows stay alive while they are converted, and
+    every collection there would walk them all."""
     was_enabled = gc.isenabled()
     gc.disable()
     try:
@@ -437,7 +440,7 @@ def load_ladder(path, units: str = "kbps") -> dict[float, list[tuple[int, int]]]
 def save_ladder(path, ladder: dict[float, list[tuple[int, int]]]) -> None:
     doc = {
         "rungs": [
-            {"bitrate_kbps": b, "resolutions": [list(r) for r in sorted(res, key=lambda r: r[0] * r[1])]}
+            {"bitrate_kbps": b, "resolutions": [list(r) for r in sorted(res, key=_res_key)]}
             for b, res in sorted(ladder.items())
         ]
     }
@@ -445,7 +448,7 @@ def save_ladder(path, ladder: dict[float, list[tuple[int, int]]]) -> None:
 
 
 def ladder_entries(ladder: dict[float, list[tuple[int, int]]]) -> list[tuple[float, tuple[int, int]]]:
-    return [(b, r) for b in sorted(ladder) for r in sorted(ladder[b], key=lambda r: r[0] * r[1])]
+    return [(b, r) for b in sorted(ladder) for r in sorted(ladder[b], key=_res_key)]
 
 
 def solution_to_dict(solution: LadderSolution) -> dict:

@@ -34,6 +34,7 @@ from .errors import (
     NoComparablePairs,
     NotEvaluable,
 )
+from .ladder import _res_key
 from .rdmodel import (
     BISECT_TOL_KBPS,
     MIN_FIT_POINTS,
@@ -178,7 +179,7 @@ def ranking_accuracy(
     """
     _check_tie_eps(tie_eps)
     if resolutions is None:
-        seen = sorted({p.resolution for p in points}, key=lambda r: r[0] * r[1])
+        seen = sorted({p.resolution for p in points}, key=_res_key)
         if len(seen) != 2:
             raise MismatchedPair(f"expected records of exactly 2 resolutions, found {len(seen)}")
         res_a, res_b = seen
@@ -307,7 +308,7 @@ def build_report(
         seen[key] = p
         by_content[p.content_id][p.resolution].append(p)
 
-    all_res = sorted({p.resolution for p in points}, key=lambda r: r[0] * r[1])
+    all_res = sorted({p.resolution for p in points}, key=_res_key)
     if pairs is None:
         pairs = list(zip(all_res, all_res[1:]))
 

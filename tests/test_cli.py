@@ -21,13 +21,13 @@ def run_cli(*args):
     return main([str(a) for a in args])
 
 
-def write_scored_points(path, objective="copy"):
+def write_scored_points(path, objective="copy", resolutions=("1280x720", "1920x1080")):
     rows = []
     for content, (b3_lo, b3_hi) in (("a", (500, 800)), ("b", (520, 900))):
         for b in (1000.0, 1500.0, 2200.0, 3300.0, 5000.0, 7500.0):
             s_lo = 2 + 5.5 / (1 + np.exp(-(b - b3_lo) / 350.0))
             s_hi = 1 + 7.5 / (1 + np.exp(-(b - b3_hi) / 600.0))
-            for res, s in ((("1280x720"), s_lo), (("1920x1080"), s_hi)):
+            for res, s in zip(resolutions, (s_lo, s_hi)):
                 obj = s if objective == "copy" else -s
                 rows.append([content, res, repr(b), repr(float(s)), repr(float(obj))])
     with open(path, "w", newline="") as fh:
@@ -208,6 +208,19 @@ class TestFitAndCrossover:
                 "n_crossings",
             }
             assert row["status"] in ("found", "none", "multiple_resolved")
+
+    def test_crossover_pair_order_is_irrelevant(self, tmp_path):
+        # Equal pixel counts: the narrower resolution is the lower curve,
+        # whichever way round the pair is written.
+        points_csv = tmp_path / "scores.csv"
+        write_scored_points(points_csv, resolutions=("1280x720", "720x1280"))
+        docs = []
+        for k, pair in enumerate(("1280x720:720x1280", "720x1280:1280x720")):
+            out = tmp_path / f"xo{k}"
+            assert run_cli("crossover", "--scored-points", points_csv, "--pair", pair, "--out", out) == 0
+            docs.append((out / "crossovers.json").read_bytes())
+        assert docs[0] == docs[1]
+        assert json.loads(docs[0])["crossovers"][0]["lower_curve"] == "720x1280"
 
 
 class TestAnalyzeGops:
@@ -456,6 +469,10 @@ class TestModelCommands:
         assert (out1 / "model.json").read_bytes() == (out2 / "model.json").read_bytes()
 
 
+BAD = object()  # stands for the malformed file in an argv
+LOG_ARGS = ["--log", DATA / "synthetic_quality_log.csv"]
+
+
 class TestReplay:
     def test_replay_reproduces_outputs(self, tmp_path):
         out = tmp_path / "sim"
@@ -471,9 +488,44 @@ class TestReplay:
         after = {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()}
         assert snapshot == after
 
+    def test_replay_rewrites_the_echo_and_writes_none_of_its_own(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        out = tmp_path / "sim"
+        run_cli("simulate", *LOG_ARGS, "--ladder", DATA / "dynamic_ladder.json", "--out", out)
+        echo = out / "simulate.run_config.json"
+        config = tmp_path / "config.json"
+        config.write_bytes(echo.read_bytes())
+        echo.unlink()
+        assert run_cli("replay", config) == 0
+        assert echo.read_bytes() == config.read_bytes()
+        assert list(tmp_path.rglob("replay.run_config.json")) == []
 
-BAD = object()  # stands for the malformed file in an argv
-LOG_ARGS = ["--log", DATA / "synthetic_quality_log.csv"]
+    # command: argv whose BAD input file is empty.  The simulate baseline
+    # is read after the switching trace has been written.
+    FAILING = {
+        "fit": ["fit", "--scored-points", BAD],
+        "crossover": ["crossover", "--scored-points", BAD],
+        "bench-rcql": ["bench-rcql", "--scored-points", BAD],
+        "analyze-gops": ["analyze-gops", "--log", BAD],
+        "select-ladder": ["select-ladder", "--log", BAD, "--k", 10],
+        "simulate": ["simulate", "--log", BAD, "--ladder", DATA / "dynamic_ladder.json"],
+        "simulate-baseline": ["simulate", *LOG_ARGS, "--ladder", DATA / "dynamic_ladder.json", "--baseline", BAD],
+        "train": ["train", "--features", BAD],
+        "cv": ["cv", "--features", BAD],
+        "gfs": ["gfs", "--features", BAD],
+        "report": ["report", "--baseline-trace", BAD, "--drs-trace", DATA / "golden_trace.json"],
+    }
+
+    @pytest.mark.parametrize("case", sorted(FAILING))
+    def test_failed_command_writes_no_echo(self, tmp_path, case):
+        bad = tmp_path / "empty"
+        bad.write_text("")
+        argv = [bad if a is BAD else a for a in self.FAILING[case]]
+        out = tmp_path / "out"
+        assert run_cli(*argv, "--out", out) == 2
+        assert not (out / f"{argv[0]}.run_config.json").exists()
+
+
 MALFORMED_JSON = {
     # case: (file name, file text, argv)
     "ladder_syntax": (
@@ -502,6 +554,12 @@ MALFORMED_JSON = {
         ["select-ladder", *LOG_ARGS, "--k", 10, "--weights", BAD],
     ),
     "replay_config_without_argv": ("x.run_config.json", json.dumps({"tool": "drskit"}), ["replay", BAD]),
+    # drskit writes no echo of a replay, so a config that replays is not its own.
+    "replay_config_that_replays": (
+        "x.run_config.json",
+        json.dumps({"tool": "drskit", "argv": ["replay", "other.run_config.json"]}),
+        ["replay", BAD],
+    ),
 }
 
 
@@ -554,6 +612,39 @@ PACKAGE_EXPORTS = {
     "optimize_ladder_greedy", "predict", "protocol", "ranking_accuracy", "rcql", "rcql_avg", "rcql_s",
     "rdmodel", "simulate", "train", "vqm", "weights_from_bandwidth",
 }
+
+
+def option_table(parser):
+    """Per subcommand: each action's option strings, dest, default,
+    ``required``, choices, type and nargs (sorted by dest), and each
+    mutually exclusive group's ``required`` and dests, as JSON values."""
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    table = {}
+    for name, p in sub.choices.items():
+        actions = [
+            [a.option_strings, a.dest, a.default, a.required, a.choices and list(a.choices),
+             getattr(a.type, "__name__", a.type), a.nargs]
+            for a in p._actions
+        ]
+        groups = [[g.required, sorted(a.dest for a in g._group_actions)] for g in p._mutually_exclusive_groups]
+        table[name] = {"actions": sorted(actions, key=lambda a: a[1]), "exclusive": groups}
+    return json.loads(json.dumps(table))
+
+
+class TestParser:
+    def test_option_tables_unchanged(self):
+        from drskit.cli import _build_parser
+
+        expected = json.loads((DATA / "cli_options.json").read_text())
+        assert sorted(expected) == sorted(SUBCOMMANDS)
+        assert option_table(_build_parser()) == expected
+
+    @pytest.mark.parametrize("command", SUBCOMMANDS)
+    def test_help_runs(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: drskit {command} ")
 
 
 class TestImportBudget:
