@@ -257,15 +257,19 @@ def cmd_select_ladder(args) -> int:
 
 
 def _write_trace_outputs(out: Path, name: str, trace) -> None:
-    io.write_trace_json(out / f"{name}.json", trace)
-    io.write_trace_csv(out / f"{name}.csv", trace)
+    from .trace_io import write_trace_files
+
+    write_trace_files(trace, out / f"{name}.json", out / f"{name}.csv")
 
 
 def cmd_simulate(args) -> int:
+    # Read the log before importing the modules below: where no bytecode is
+    # cached, compiling them then reuses memory the ingest has freed, which
+    # lowers the command's peak RSS.
+    log = io.load_quality_log(args.log, args.units)
     from .drs import simulate, trace_rd_points
     from .rdmodel import MIN_FIT_POINTS, fit_logistic
 
-    log = io.load_quality_log(args.log, args.units)
     ladder = io.load_ladder_or_solution(args.ladder, args.units)
     trace = simulate(log, ladder, granularity_gops=args.granularity)
     out = Path(args.out)
@@ -308,8 +312,10 @@ def _write_bd_and_gains(out: Path, baseline_trace, drs_trace) -> None:
 
 
 def cmd_report(args) -> int:
-    baseline_trace = io.load_trace(args.baseline_trace)
-    drs_trace = io.load_trace(args.drs_trace)
+    from .trace_io import load_trace
+
+    baseline_trace = load_trace(args.baseline_trace)
+    drs_trace = load_trace(args.drs_trace)
     out = Path(args.out)
     _write_bd_and_gains(out, baseline_trace, drs_trace)
     print(f"wrote BD report and gain histograms to {out}")

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .corr import _percentile, _row_medians
 from .curves import RDCurve, pchip_from_arrays
 from .errors import (
     IncompleteLog,
@@ -263,6 +264,6 @@ def gain_distribution(baseline: DrsTrace, drs: DrsTrace, rung: float) -> GainSta
         rung=rung,
         deltas=deltas,
         mean=float(deltas.mean()),
-        median=float(np.median(deltas)),
-        percentiles={p: float(np.percentile(deltas, p)) for p in (5, 25, 50, 75, 95)},
+        median=float(_row_medians(deltas[None, :])[0]),
+        percentiles={p: _percentile(deltas, p) for p in (5, 25, 50, 75, 95)},
     )

@@ -27,8 +27,6 @@ import functools
 import gc
 import json
 import math
-import types
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -71,6 +69,7 @@ __all__ = [
     "write_probability_csv",
     "write_rcql_csv",
     "trace_to_dict",
+    "write_trace_files",
     "write_trace_json",
     "trace_from_dict",
     "load_trace",
@@ -587,123 +586,25 @@ def write_rcql_csv(rows_path, pairs_path, report: RcqlReport) -> None:
                 writer.writerow([pair, metric, repr(report.pair_summary[pair][metric])])
 
 
-def _trace_header(trace) -> dict:
-    """``trace_to_dict`` without the selections."""
-    return {
-        "granularity_gops": trace.granularity_gops,
-        "rungs": [float(b) for b in trace.rungs],
-        "resolutions": [list(r) for r in trace.resolutions],
-        "n_gops": len(trace.gop_ids),
-        "per_rung_mean_quality": [float(v) for v in trace.per_rung_mean],
-        "flips": [int(v) for v in trace.flips],
-    }
+# The trace readers and writers live in ``drskit.trace_io``, which only
+# the commands that use traces load; these names of this module reach it.
+_TRACE_IO_NAMES = (
+    "trace_to_dict",
+    "write_trace_files",
+    "write_trace_json",
+    "trace_from_dict",
+    "load_trace",
+    "write_trace_csv",
+)
 
 
-def trace_to_dict(trace) -> dict:
-    return {
-        **_trace_header(trace),
-        "selections": [
-            {
-                "content_id": trace.gop_ids[i][0],
-                "gop_index": trace.gop_ids[i][1],
-                "bitrate_kbps": float(trace.rungs[j]),
-                "resolution": list(trace.resolutions[int(trace.chosen_res[i, j])]),
-                "score": float(trace.chosen_score[i, j]),
-            }
-            for i in range(len(trace.gop_ids))
-            for j in range(len(trace.rungs))
-        ],
-    }
+def __getattr__(name: str):
+    if name not in _TRACE_IO_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import trace_io
 
-
-def _json_float(v: float) -> str:
-    """``v`` as ``json.dump`` writes it."""
-    if math.isfinite(v):
-        return float.__repr__(v)
-    return "NaN" if v != v else ("Infinity" if v > 0 else "-Infinity")
-
-
-def write_trace_json(path, trace) -> None:
-    """Write the bytes ``write_json(path, trace_to_dict(trace))`` writes,
-    formatting the selections directly and one GOP at a time, without
-    building the document."""
-    head = json.dumps(_trace_header(trace), sort_keys=True, indent=2)
-    # Selection text up to the content id, per rung, and from the
-    # resolution to the score, per resolution.
-    rung_text = [f'    {{\n      "bitrate_kbps": {_json_float(float(b))},\n      "content_id": ' for b in trace.rungs]
-    res_text = [
-        f',\n      "resolution": [\n        {int(w)},\n        {int(h)}\n      ],\n      "score": '
-        for w, h in trace.resolutions
-    ]
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        # Every header key sorts before "selections", which comes last.
-        fh.write(head[: -len("\n}")] + ',\n  "selections": [')
-        sep = "\n"
-        for (content, gop), res_row, score_row in zip(
-            trace.gop_ids, trace.chosen_res.tolist(), trace.chosen_score.tolist()
-        ):
-            ident = f'{encode_basestring_ascii(content)},\n      "gop_index": {gop}'
-            fh.write(
-                sep
-                + ",\n".join(
-                    rung + ident + res_text[k] + _json_float(score) + "\n    }"
-                    for rung, k, score in zip(rung_text, res_row, score_row)
-                )
-            )
-            sep = ",\n"
-        fh.write("]\n}\n" if sep == "\n" else "\n  ]\n}\n")
-
-
-@_json_fields
-def trace_from_dict(doc: dict):
-    """Inverse of ``trace_to_dict``: rebuild the ``DrsTrace``."""
-    from .drs import DrsTrace
-
-    rungs = tuple(float(b) for b in doc["rungs"])
-    resolutions = tuple((int(r[0]), int(r[1])) for r in doc["resolutions"])
-    n = int(doc["n_gops"])
-    sel = doc["selections"]
-    if len(sel) != n * len(rungs):
-        raise InputError(f"trace has {len(sel)} selections, expected {n * len(rungs)}")
-    res_at = {}
-    for k, res in enumerate(resolutions):
-        res_at.setdefault(res, k)  # a repeated resolution reads as its first entry
-    chosen_res = np.fromiter((res_at[tuple(e["resolution"])] for e in sel), np.int64, len(sel)).reshape(n, len(rungs))
-    chosen_score = np.fromiter((float(e["score"]) for e in sel), float, len(sel)).reshape(n, len(rungs))
-    gop_ids = [(sel[i * len(rungs)]["content_id"], int(sel[i * len(rungs)]["gop_index"])) for i in range(n)]
-    return DrsTrace(
-        rungs=rungs,
-        resolutions=resolutions,
-        gop_ids=tuple(gop_ids),
-        granularity_gops=int(doc["granularity_gops"]),
-        chosen_res=chosen_res,
-        chosen_score=chosen_score,
-        per_rung_mean=chosen_score.mean(axis=0),
-        flips=np.asarray(doc["flips"], dtype=np.int64),
-    )
-
-
-def load_trace(path):
-    """Read a trace JSON written from ``trace_to_dict``."""
-    return _load_json(path, trace_from_dict)
-
-
-def write_trace_csv(path, trace) -> None:
-    # csv.writer returns what its file's write returns, so writing to
-    # ``str`` gives the text of a row; only the ids may need quoting.
-    row_text = csv.writer(types.SimpleNamespace(write=str)).writerow
-    rung_text = [f"{float(b)!r}," for b in trace.rungs]
-    res_text = [row_text(res).removesuffix("\r\n") + "," for res in trace.resolutions]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(row_text(["content_id", "gop_index", "bitrate_kbps", "width", "height", "score"]))
-        for ident, res_row, score_row in zip(trace.gop_ids, trace.chosen_res.tolist(), trace.chosen_score.tolist()):
-            head = row_text(ident).removesuffix("\r\n") + ","
-            fh.write(
-                "".join(
-                    f"{head}{rung}{res_text[k]}{score!r}\r\n" for rung, k, score in zip(rung_text, res_row, score_row)
-                )
-            )
+    value = globals()[name] = getattr(trace_io, name)
+    return value
 
 
 def write_histogram_csv(path, bin_left, bin_right, counts) -> None:

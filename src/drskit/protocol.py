@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corr import spearman
+from .corr import _row_medians, spearman
 from .errors import InsufficientContents, InvalidHyperparameter, InvariantError, SchemaMismatch
 from .forest import TreeParams, fit_forests
 from .vqm import DEFAULT_BASE_FEATURES, FeatureSchema, GopRecord, _fit_base, _labeled_matrix
@@ -156,21 +156,6 @@ def _summarize(rows: tuple[CvRow, ...], contents: list[str], srocc: np.ndarray, 
         "rmse": float(np.mean(med_rmse)),
     }
     return CvResult(rows, per_content, aggregate)
-
-
-def _row_medians(M: np.ndarray) -> np.ndarray:
-    """``np.median`` of each row of M, bit for bit: the same partition of
-    the row (which fixes whether -0.0 or 0.0 is picked where they tie),
-    the same mean of its middle values (a sum that starts from 0.0), and
-    NaN for a row holding NaN."""
-    width = M.shape[1]
-    half = width // 2
-    kth = [half - 1, half, -1] if width % 2 == 0 else [half, -1]
-    part = np.partition(M, kth, axis=1)
-    med = (0.0 + part[:, half - 1] + part[:, half]) / 2 if width % 2 == 0 else 0.0 + part[:, half]
-    last = part[:, -1]  # NaN sorts last
-    np.copyto(med, last, where=np.isnan(last))
-    return med
 
 
 def _row_nanmedians(M: np.ndarray) -> np.ndarray:

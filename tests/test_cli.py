@@ -3,6 +3,7 @@ import csv
 import json
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -375,6 +376,35 @@ class TestReport:
         )
         assert (rep_out / "bd_report.json").read_bytes() == (sim_out / "bd_report.json").read_bytes()
 
+    # Header fields a trace must not have; each is an InputError raised
+    # before any selection is read, so no numpy warning comes first.
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda doc: doc.update(n_gops=0), "n_gops must be an integer >= 1, got 0"),
+            (lambda doc: doc.update(granularity_gops=1.5), "granularity_gops must be an integer >= 1, got 1.5"),
+            (lambda doc: doc["flips"].pop(), "flips must be a list of 8 integers"),
+            (lambda doc: doc.update(flips=[[v] for v in doc["flips"]]), "flips must be a list of 8 integers"),
+            (lambda doc: doc.update(flips=[float(v) for v in doc["flips"]]), "flips must be a list of 8 integers"),
+        ],
+        ids=["no-gops", "fractional-granularity", "short-flips", "2d-flips", "float-flips"],
+    )
+    def test_bad_trace_header_exits_2(self, tmp_path, capsys, edit, message):
+        doc = json.loads((DATA / "golden_trace.json").read_text())
+        edit(doc)
+        bad = tmp_path / "bad_trace.json"
+        bad.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run_cli(
+                "report", "--baseline-trace", bad, "--drs-trace", DATA / "golden_trace.json", "--out", tmp_path / "rep"
+            )
+        assert code == 2
+        assert [str(w.message) for w in caught] == []
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: InputError: {bad}: {message}")
+        assert err.count("\n") == 1
+
 
 class TestModelCommands:
     def test_train_and_outputs(self, tmp_path):
@@ -678,7 +708,7 @@ class TestImportBudget:
             "bench-rcql": ["bench-rcql", "--scored-points", points],
             "analyze-gops": ["analyze-gops", "--log", log],
             "select-ladder": ["select-ladder", "--log", log, "--k", 10],
-            "simulate": ["simulate", "--log", log, "--ladder", ladder],
+            "simulate": ["simulate", "--log", log, "--ladder", ladder, "--baseline", DATA / "baseline_ladder.json"],
             "train": ["train", "--features", features, "--trees", 3],
             "cv": ["cv", "--features", features, *forest],
             "gfs": ["gfs", "--features", features, *forest],
@@ -727,6 +757,11 @@ class TestImportBudget:
         loaded = probed(command)["drskit"]
         assert "drskit.io" in loaded
         assert [m for m in loaded if m.startswith(MODEL_AND_PARSER_MODULES)] == []
+
+    # Only simulate and report write or read traces.
+    @pytest.mark.parametrize("command", [*SUBCOMMANDS, "--version"])
+    def test_only_trace_commands_load_trace_io(self, probed, command):
+        assert ("drskit.trace_io" in probed(command)["drskit"]) == (command in ("simulate", "report"))
 
     @pytest.mark.parametrize(
         "command, modules",
@@ -779,8 +814,9 @@ class TestImportBudget:
     def test_cv_and_gfs_load_no_scipy(self, loaded, command):
         assert loaded(command) == []
 
-    # np.median loads numpy.ma (about 15 ms); the CV medians do not use it.
-    @pytest.mark.parametrize("command", ["train", "cv", "cv --runs 2", "gfs"])
+    # np.median and np.percentile load numpy.ma (about 15 ms); the CV
+    # medians and the gain statistics do not use them.
+    @pytest.mark.parametrize("command", ["train", "cv", "cv --runs 2", "gfs", "simulate", "report"])
     def test_model_commands_load_no_numpy_ma(self, probed, command):
         assert probed(command)["numpy.ma"] is False
 

@@ -3,8 +3,11 @@ from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from drskit.drs import (
+    DrsTrace,
     ManifestEntry,
     bd_rate,
     filter_manifest,
@@ -269,3 +272,42 @@ class TestGainDistribution:
             gain_distribution(ta, tb, log_a.rungs[0])
         with pytest.raises(MismatchedTraces):
             gain_distribution(ta, ta, 123.0)
+
+
+# Ties of -0.0 and 0.0, NaN, infinities and a few repeated values.
+GAIN_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, np.nan, np.inf, -np.inf, 1.0, -1.0, 0.5]),
+    st.floats(allow_nan=False, width=64),
+)
+
+
+def gain_trace(scores) -> DrsTrace:
+    scores = np.asarray(scores, dtype=float).reshape(-1, 1)
+    return DrsTrace(
+        rungs=(1000.0,),
+        resolutions=(R720,),
+        gop_ids=tuple(("c", i) for i in range(len(scores))),
+        granularity_gops=1,
+        chosen_res=np.zeros(scores.shape, dtype=np.int64),
+        chosen_score=scores,
+        per_rung_mean=scores.mean(axis=0),
+        flips=np.zeros(1, dtype=np.int64),
+    )
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(GAIN_VALUES, min_size=1, max_size=40))
+@example([-0.0])
+@example([0.0, -0.0])
+@example([-0.0, -0.0, 0.0])
+@example([np.nan, 1.0])
+def test_gain_statistics_are_numpys_bit_for_bit(deltas):
+    d = np.array(deltas)
+    with np.errstate(all="ignore"):
+        # deltas - 0.0 keeps every value, -0.0 and NaN included.
+        stats = gain_distribution(gain_trace(np.zeros(d.size)), gain_trace(d), 1000.0)
+        want_median, want_percentiles = np.median(d), {p: np.percentile(d, p) for p in stats.percentiles}
+    assert sorted(want_percentiles) == [5, 25, 50, 75, 95]
+    assert np.float64(stats.median).tobytes() == want_median.tobytes()
+    for p, value in stats.percentiles.items():
+        assert np.float64(value).tobytes() == want_percentiles[p].tobytes(), p

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drskit.corr import spearman
+from drskit.corr import _row_medians, spearman
 from drskit.errors import InsufficientContents, InvariantError, SchemaMismatch
 from drskit.protocol import (
     CvConfig,
@@ -24,7 +24,6 @@ from drskit.protocol import (
     CvRow,
     GfsResult,
     GfsStep,
-    _row_medians,
     _row_nanmedians,
     cross_validate,
     greedy_feature_selection,

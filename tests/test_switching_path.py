@@ -3,23 +3,27 @@
 The columnar quality-log reader, the vectorised ``simulate`` and the
 direct trace writers are checked against the per-record code they
 replaced, which is kept here as the oracle: the same logs, the same
-error texts, the same traces and the same bytes.
+error texts, the same traces and the same bytes.  The trace reader for
+``write_trace_json``'s own layout is checked against ``json`` plus
+``trace_from_dict``, which reads every other file.
 """
 
 import csv
 import json
 import random
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from drskit import io
+from drskit import io, trace_io
 from drskit.drs import DrsTrace, _ladder_map, simulate
 from drskit.errors import CsvSchemaError, EmptyInput, IncompleteLog, InputError
 from drskit.ladder import QualityLog, _res_key
+from test_hostile_input import mutations
 
 HEADER = ",".join(io.QUALITY_LOG_COLUMNS)
 
@@ -183,6 +187,29 @@ def assert_same_trace(got: DrsTrace, want: DrsTrace) -> None:
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype, name
         assert np.array_equal(a, b), name
+
+
+def assert_bitwise_same(got: DrsTrace, want: DrsTrace) -> None:
+    assert got.rungs == want.rungs and got.resolutions == want.resolutions
+    assert got.gop_ids == want.gop_ids and got.granularity_gops == want.granularity_gops
+    for name in ("chosen_res", "chosen_score", "per_rung_mean", "flips"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), name
+
+
+def same_trace_outcome(path: Path) -> None:
+    """Read ``path`` with ``load_trace`` and with json alone: the same
+    trace, or the same error."""
+    try:
+        want = io._load_json(path, io.trace_from_dict)
+    except InputError as exc:
+        with pytest.raises(InputError) as got:
+            io.load_trace(path)
+        assert type(got.value) is type(exc)
+        assert str(got.value) == str(exc)
+    else:
+        assert_bitwise_same(io.load_trace(path), want)
 
 
 def write_csv(path: Path, rows, blank_lines=()) -> Path:
@@ -600,11 +627,11 @@ class TestSimulate:
 # --- trace writers ---------------------------------------------------------
 
 
-def unicode_trace(granularity: int) -> DrsTrace:
+def unicode_trace(granularity: int, contents=("naïve,\"clip\"", "中文", "plain", "emoji🎬\n")) -> DrsTrace:
     rng = np.random.default_rng(granularity)
     records = [
         (content, gop, b, res, float(rng.normal(5.0, 2.0)))
-        for content in ("naïve,\"clip\"", "中文", "plain", "emoji🎬\n")
+        for content in contents
         for gop in range(7)
         for b in (800.0, 1500.5, 3000.0)
         for res in ((640, 360), (1280, 720), (1920, 1080))
@@ -668,18 +695,133 @@ class TestTraceWriters:
         io.write_trace_csv(out / "new.csv", trace)
         oracle_write_trace_csv(out / "old.csv", trace)
         assert (out / "new.csv").read_bytes() == (out / "old.csv").read_bytes()
+        io.write_trace_files(trace, out / "both.json", out / "both.csv")
+        assert (out / "both.json").read_bytes() == (out / "trace.json").read_bytes()
+        assert (out / "both.csv").read_bytes() == (out / "old.csv").read_bytes()
+        # Read back: the layout reader takes every file whose ids hold no quote.
+        want = oracle_trace_from_dict(json.loads((out / "trace.json").read_text(encoding="utf-8")))
+        assert_bitwise_same(io.load_trace(out / "trace.json"), want)
+        quoted = any('"' in content for content, _ in trace.gop_ids)
+        assert (trace_io._read_trace_layout(out / "trace.json") is None) == quoted
+
+    @pytest.mark.parametrize(
+        "contents", [None, ("naïve,clip", "中文", "plain", "emoji🎬\n")], ids=["quoted-id", "no-quote"]
+    )
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_mutated_trace_reads_as_json_does(self, tmp_path, contents, data):
+        trace = unicode_trace(2) if contents is None else unicode_trace(2, contents)
+        io.write_trace_json(tmp_path / "trace.json", trace)
+        path = tmp_path / "mutated.json"
+        path.write_bytes(data.draw(mutations((tmp_path / "trace.json").read_bytes())))
+        same_trace_outcome(path)
+
+    @pytest.mark.parametrize(
+        "rewrite",
+        [
+            lambda text, doc: text.replace("\n", "\r\n"),
+            lambda text, doc: json.dumps(doc, indent=2),
+            lambda text, doc: json.dumps(doc, sort_keys=True),
+            lambda text, doc: json.dumps({**doc, "comment": "x"}, sort_keys=True, indent=2) + "\n",
+            lambda text, doc: text.replace('"score": ', '"score": 1.5,\n      "score": ', 1),
+            lambda text, doc: text.replace('  "n_gops": ', '  "n_gops": 3,\n  "n_gops": ', 1),
+            lambda text, doc: text.replace('"content_id": "plain"', '"content_id": "pl\\"ain"'),
+            lambda text, doc: text.replace('"content_id": "plain"', '"content_id": "plain\\\\"'),
+            lambda text, doc: text + "  \n\t",
+            lambda text, doc: text.replace('"bitrate_kbps": 1500.5', '"bitrate_kbps": 1500.0', 1),
+            lambda text, doc: text.replace('1500.5,\n      "content_id": "plain"', '1500.5,\n      "content_id": "x"'),
+        ],
+        ids=[
+            "crlf",
+            "reordered-keys",
+            "compact",
+            "extra-key",
+            "duplicated-key",
+            "duplicated-header-key",
+            "escaped-quote-id",
+            "id-ending-in-backslash",
+            "trailing-bytes",
+            "other-bitrate",
+            "id-differs-within-gop",
+        ],
+    )
+    def test_other_layouts_read_through_json(self, tmp_path, rewrite):
+        io.write_trace_json(tmp_path / "trace.json", unicode_trace(2, ("naïve,clip", "中文", "plain")))
+        text = (tmp_path / "trace.json").read_text(encoding="utf-8")
+        path = tmp_path / "other.json"
+        path.write_bytes(rewrite(text, json.loads(text)).encode("utf-8"))
+        assert trace_io._read_trace_layout(tmp_path / "trace.json") is not None
+        assert trace_io._read_trace_layout(path) is None
+        assert_bitwise_same(io.load_trace(path), oracle_trace_from_dict(json.loads(path.read_text(encoding="utf-8"))))
+
+    # Values that json decodes to another type: the file goes to json and
+    # trace_from_dict, which convert or reject them.
+    @pytest.mark.parametrize(
+        "pattern, value",
+        [(r'"score": .*', '"score": null'), (r'"gop_index": 1,', '"gop_index": 1.5,'), (r'"score": (.*)', r'"score": "\1"')],
+        ids=["null-score", "fractional-gop-index", "string-score"],
+    )
+    def test_values_of_other_types_read_as_json_does(self, tmp_path, pattern, value):
+        io.write_trace_json(tmp_path / "trace.json", unicode_trace(2, ("naïve,clip", "中文", "plain")))
+        path = tmp_path / "other.json"
+        text, n = re.subn(pattern, value, (tmp_path / "trace.json").read_text(encoding="utf-8"), count=1)
+        path.write_text(text, encoding="utf-8")
+        assert n == 1
+        assert trace_io._read_trace_layout(path) is None
+        same_trace_outcome(path)
+
+    @pytest.mark.parametrize(
+        "rewrite",
+        [
+            lambda text: text.replace("\n    {\n", "\n    [\n", 1),
+            lambda text: text.replace('"resolution": [', '"resolution": ', 1),
+            lambda text: text.replace("\n      ],\n", "\n      ,\n", 1),
+            lambda text: text.replace("\n    },\n", "\n    }\n", 1),
+            lambda text: text.replace("\n    }\n  ]", "\n    },\n  ]"),
+            lambda text: json.dumps({**json.loads(text), "rungs": [], "flips": []}, sort_keys=True, indent=2) + "\n",
+        ],
+        ids=["open-brace", "open-bracket", "close-bracket", "missing-comma", "trailing-comma", "no-rungs"],
+    )
+    def test_broken_layout_fails_as_json_does(self, tmp_path, rewrite):
+        io.write_trace_json(tmp_path / "trace.json", unicode_trace(2, ("naïve,clip", "中文", "plain")))
+        path = tmp_path / "broken.json"
+        path.write_text(rewrite((tmp_path / "trace.json").read_text(encoding="utf-8")), encoding="utf-8")
+        with pytest.raises(InputError):
+            io._load_json(path, io.trace_from_dict)
+        same_trace_outcome(path)
+
+    def test_ids_spanning_lines_read_through_json(self, tmp_path):
+        # Quotes that pair up across id lines: as one list they decode to
+        # one string per GOP, so only the per-line quote count sends the
+        # file to json, which rejects it.
+        io.write_trace_json(tmp_path / "trace.json", unicode_trace(2, ("naïve,clip", "中文", "plain")))
+        text = (tmp_path / "trace.json").read_text(encoding="utf-8")
+        for gop, token in enumerate(['"a', 'b"', '"c","d"']):
+            gop_line = f',\n      "gop_index": {gop},'
+            text = text.replace(f'"content_id": "plain"{gop_line}', f'"content_id": {token}{gop_line}')
+        path = tmp_path / "spanning.json"
+        path.write_text(text, encoding="utf-8")
+        assert trace_io._read_trace_layout(path) is None
+        with pytest.raises(InputError, match="not valid JSON"):
+            io.load_trace(path)
+
+    def test_written_trace_never_reaches_json(self, tmp_path, monkeypatch):
+        trace = unicode_trace(3, ("naïve,clip", "中文", "plain", "emoji🎬\n", "back\\slash"))
+        io.write_trace_json(tmp_path / "trace.json", trace)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("json fallback used")
+
+        monkeypatch.setattr(trace_io, "_load_json", refuse)
+        back = io.load_trace(tmp_path / "trace.json")
+        assert back.gop_ids == trace.gop_ids
+        assert_same_trace(back, trace)
 
     @given(raw_traces())
     @settings(max_examples=100, deadline=None)
     def test_reader_matches_per_selection_loop(self, trace):
         doc = json.loads(json.dumps(io.trace_to_dict(trace)))
-        got, want = io.trace_from_dict(doc), oracle_trace_from_dict(doc)
-        assert got.rungs == want.rungs and got.resolutions == want.resolutions
-        assert got.gop_ids == want.gop_ids and got.granularity_gops == want.granularity_gops
-        for name in ("chosen_res", "chosen_score", "per_rung_mean", "flips"):
-            a, b = getattr(got, name), getattr(want, name)
-            assert a.dtype == b.dtype and a.shape == b.shape, name
-            assert np.array_equal(a, b, equal_nan=True), name
+        assert_bitwise_same(io.trace_from_dict(doc), oracle_trace_from_dict(doc))
 
     @pytest.mark.parametrize(
         "edit",
