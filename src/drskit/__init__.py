@@ -3,7 +3,9 @@ quality models, ladder optimization and resolution-switching simulation.
 
 Submodules and the names below are imported on first access (PEP 562),
 so ``import drskit`` and each CLI command load only the modules they
-use.  Every module needs numpy alone; scipy is only the tests' oracle.
+use.  ``cli``, ``io``, ``errors`` and ``avc`` load no numpy, so start-up
+and ``extract-features`` run on the standard library; every other module
+needs numpy alone, and scipy is only the tests' oracle.
 """
 
 from importlib import import_module as _import_module

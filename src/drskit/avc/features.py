@@ -3,15 +3,17 @@
 GOPs are delimited by IDR frames.  Every coded slice contributes its QP
 and type; frames are detected at slices with first_mb_in_slice == 0.
 Bits are counted over all coded-slice NAL units of the GOP as stored in
-the stream (header plus escaped payload, start codes excluded).
+the stream (header plus escaped payload, start codes excluded).  The
+per-GOP sums, means and deviations follow numpy's summation order, so
+this module gives numpy's bits without importing it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from ..errors import EmptyInput, MalformedSyntax, NoIdrFound
 from .headers import ParserContext, SliceHeaderInfo, parse_pps, parse_slice_header, parse_sps
@@ -128,6 +130,31 @@ def _group_frames(slices: list[ParsedSlice]) -> list[_Frame]:
     return frames
 
 
+def _pairwise(values: list[float]) -> float:
+    """numpy's pairwise sum: a plain loop below 8 items, 8 interleaved
+    accumulators up to 128, the two halves (cut at a multiple of 8) above."""
+    n = len(values)
+    if n < 8:
+        return functools.reduce(operator.add, values, -0.0)
+    if n <= 128:
+        end = n - n % 8
+        r = [functools.reduce(operator.add, values[j:end:8]) for j in range(8)]
+        blocks = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        return functools.reduce(operator.add, values[end:], blocks)
+    half = n // 2 - n // 2 % 8
+    return _pairwise(values[:half]) + _pairwise(values[half:])
+
+
+def _sum(values: list[float]) -> float:
+    """``np.sum(values)``: the pairwise sum added to the identity 0.0."""
+    return 0.0 + _pairwise(values)
+
+
+def _std(values: list[float], mean: float) -> float:
+    """``np.std(values)`` given ``mean = np.mean(values)``."""
+    return math.sqrt(_sum([(x - mean) * (x - mean) for x in values]) / len(values))
+
+
 def aggregate_gop_features(
     slices: list[ParsedSlice],
     gop_seconds: float = 1.0,
@@ -156,14 +183,16 @@ def aggregate_gop_features(
     expected_frames = int(round(gop_seconds * fps)) if gop_seconds > 0 else None
     rows: list[GopFeatureRow] = []
     for gop_index, gop in enumerate(gops):
-        frame_bits = np.array([f.bits for f in gop], dtype=float)
+        frame_bits = [float(f.bits) for f in gop]
         headers = [h for f in gop for h in f.slices]
-        qps = np.array([h.slice_qp for h in headers], dtype=float)
+        qps = [float(h.slice_qp) for h in headers]
         cats = [h.category for h in headers]
         n_slices = len(headers)
-        bits_total = int(frame_bits.sum())
-        mean_bits = float(frame_bits.mean())
-        cov = float(frame_bits.std() / mean_bits) if mean_bits > 0 else 0.0
+        bits_sum = _sum(frame_bits)
+        bits_total = int(bits_sum)
+        mean_bits = bits_sum / len(gop)
+        cov = _std(frame_bits, mean_bits) / mean_bits if mean_bits > 0 else 0.0
+        qp_mean = _sum(qps) / n_slices
         duration_s = len(gop) / fps
         if expected_frames is not None and len(gop) != expected_frames:
             diag.gop_length_mismatches += 1
@@ -176,14 +205,14 @@ def aggregate_gop_features(
                 duration_frames=len(gop),
                 bits_total=bits_total,
                 bits_per_frame_mean=mean_bits,
-                bits_per_frame_max=float(frame_bits.max()),
+                bits_per_frame_max=max(frame_bits),
                 frac_i=cats.count("I") / n_slices,
                 frac_p=cats.count("P") / n_slices,
                 frac_b=cats.count("B") / n_slices,
-                qp_mean=float(qps.mean()),
-                qp_min=float(qps.min()),
-                qp_max=float(qps.max()),
-                qp_std=float(qps.std()),
+                qp_mean=qp_mean,
+                qp_min=min(qps),
+                qp_max=max(qps),
+                qp_std=_std(qps, qp_mean),
                 frame_size_cov=cov,
             )
         )

@@ -17,14 +17,12 @@ from dataclasses import asdict
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 # Only modules that every command needs are imported here.  Each command
 # imports the modules it alone uses in its body and pays for them only
 # when it runs.
 from . import __version__, io
 from .errors import InputError, ToolkitError
-from .ladder import _res_key
+from .io import _res_key
 
 if TYPE_CHECKING:
     from .curves import RDCurve
@@ -88,14 +86,18 @@ def _base_features(args) -> tuple[str, ...]:
 
 def _mean_rd_curves(args) -> dict[str, dict[tuple[int, int], RDCurve]]:
     """Per (content, resolution) RD curves from either input kind."""
+    import numpy as np
+
     from .curves import RDCurve
 
     curves: dict[str, dict[tuple[int, int], RDCurve]] = defaultdict(dict)
     if args.quality_log:
         log = io.load_quality_log(args.quality_log, args.units)
-        contents = sorted({c for c, _ in log.gop_ids})
-        for content in contents:
-            rows = [i for i, (c, _) in enumerate(log.gop_ids) if c == content]
+        rows_of: dict[str, list[int]] = defaultdict(list)
+        for i, (c, _) in enumerate(log.gop_ids):
+            rows_of[c].append(i)
+        for content in sorted(rows_of):
+            rows = rows_of[content]
             for k, res in enumerate(log.resolutions):
                 samples = []
                 for j, b in enumerate(log.rungs):
@@ -323,6 +325,8 @@ def cmd_report(args) -> int:
 
 
 def cmd_train(args) -> int:
+    import numpy as np
+
     from .vqm import _labeled_matrix, _train_matrix, feature_importance, model_to_dict, predict_batch
 
     records, schema = io.load_feature_log(args.features, args.units)

@@ -25,7 +25,8 @@ from .errors import (
     NoOverlap,
     TooFewPoints,
 )
-from .ladder import LadderSolution, QualityLog, Resolution, _res_key
+from .io import _res_key
+from .ladder import LadderSolution, QualityLog, Resolution
 
 __all__ = [
     "DrsTrace",

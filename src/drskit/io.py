@@ -25,18 +25,17 @@ import csv
 import dataclasses
 import functools
 import gc
+import importlib
 import json
 import math
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from .errors import CsvSchemaError, InputError, InvariantError
-from .ladder import LadderSolution, ProbabilityTable, QualityLog, _res_key
 
 if TYPE_CHECKING:
     from .curves import ScoredPoint
+    from .ladder import LadderSolution, ProbabilityTable, QualityLog  # ladder needs numpy; see __getattr__
     from .rcql import RcqlReport  # only bench-rcql loads rcql
     from .vqm import FeatureSchema, GopRecord  # only the feature-log commands load vqm
 
@@ -108,6 +107,11 @@ def parse_resolution(text: str, row: int | None = None) -> tuple[int, int]:
 
 def format_resolution(res) -> str:
     return f"{int(res[0])}x{int(res[1])}"
+
+
+def _res_key(res: tuple[int, int]) -> tuple[int, int]:
+    """Sort key of a resolution: pixel count, then width."""
+    return (res[0] * res[1], res[0])
 
 
 def _float(text: str, column: str, row: int) -> float:
@@ -203,25 +207,29 @@ def _read_rows(path, required: tuple[str, ...], exact: bool = True):
 
 
 # The numeric columns of a quality log, as numpy's C parser reads them.
-_QUALITY_NUMBERS = np.dtype(
-    [("gop_index", np.int64), ("bitrate_kbps", float), ("width", np.int64), ("height", np.int64), ("vqm_score", float)]
-)
+_QUALITY_NUMBERS = [("gop_index", "i8"), ("bitrate_kbps", "f8"), ("width", "i8"), ("height", "i8"), ("vqm_score", "f8")]
 
 
-@_gc_paused()
 def load_quality_log(path, units: str = "kbps") -> QualityLog:
     """Read a quality log.  numpy's C parser reads a plain file; a file
     it may read differently from ``int()``/``float()``, or that has a bad
     cell, is read again row by row, which names the first bad row."""
+    # Imported before the collector pauses: importing numpy leaves cyclic
+    # garbage, which kept through the read raised simulate's peak RSS by 3 MB.
+    from .ladder import QualityLog
+
     scale = unit_scale(units)
-    columns = _parse_plain_quality_log(path, scale)
-    if columns is None:
-        columns = _read_quality_log_rows(path, scale)
-    return QualityLog.from_columns(*columns)
+    with _gc_paused():
+        columns = _parse_plain_quality_log(path, scale)
+        if columns is None:
+            columns = _read_quality_log_rows(path, scale)
+        return QualityLog.from_columns(*columns)
 
 
 def _quality_cells_ok(scale: float, raw_bitrates, widths, heights, scores) -> bool:
     """Whether converted quality-log columns pass every row check."""
+    import numpy as np
+
     return bool(
         np.isfinite(raw_bitrates).all()
         and (scale * raw_bitrates > 0).all()
@@ -242,6 +250,8 @@ def _parse_plain_quality_log(path, scale: float):
     ``float()``'s value, except that it also strips the ASCII separators
     ``\\x1c``-``\\x1f`` and reads some non-ASCII characters as digits, so
     files with either go to the csv reader."""
+    import numpy as np
+
     with open(path, "r", encoding="utf-8", newline="") as fh:
         try:
             text = fh.read()
@@ -259,7 +269,7 @@ def _parse_plain_quality_log(path, scale: float):
         numbers = np.loadtxt(rows, _QUALITY_NUMBERS, comments=None, delimiter=",", usecols=(1, 2, 3, 4, 5), ndmin=1)
     except ValueError:
         return None
-    gops, raw_bitrates, widths, heights, scores = (numbers[name] for name in _QUALITY_NUMBERS.names)
+    gops, raw_bitrates, widths, heights, scores = (numbers[name] for name in numbers.dtype.names)
     if len(numbers) != len(rows) or not _quality_cells_ok(scale, raw_bitrates, widths, heights, scores):
         return None
     content = [row.partition(",")[0] for row in rows]
@@ -269,6 +279,8 @@ def _parse_plain_quality_log(path, scale: float):
 def _read_quality_log_rows(path, scale: float):
     """The quality log's columns, read by ``csv.reader``; raises the
     first bad row's error."""
+    import numpy as np
+
     header, rows = _read_table(path, QUALITY_LOG_COLUMNS)
     at = {name: k for k, name in enumerate(header)}  # a repeated name reads its last column
     columns = list(zip(*rows))
@@ -586,24 +598,23 @@ def write_rcql_csv(rows_path, pairs_path, report: RcqlReport) -> None:
                 writer.writerow([pair, metric, repr(report.pair_summary[pair][metric])])
 
 
-# The trace readers and writers live in ``drskit.trace_io``, which only
-# the commands that use traces load; these names of this module reach it.
-_TRACE_IO_NAMES = (
-    "trace_to_dict",
-    "write_trace_files",
-    "write_trace_json",
-    "trace_from_dict",
-    "load_trace",
-    "write_trace_csv",
-)
+# Names this module resolves on first use, by the module that defines
+# them.  The trace readers and writers live in ``drskit.trace_io``, which
+# only the commands that use traces load; the ladder records need numpy.
+_LAZY_NAMES = {
+    **dict.fromkeys(
+        ("trace_to_dict", "write_trace_files", "write_trace_json", "trace_from_dict", "load_trace", "write_trace_csv"),
+        "trace_io",
+    ),
+    **dict.fromkeys(("LadderSolution", "ProbabilityTable", "QualityLog"), "ladder"),
+}
 
 
 def __getattr__(name: str):
-    if name not in _TRACE_IO_NAMES:
+    if name not in _LAZY_NAMES:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import trace_io
-
-    value = globals()[name] = getattr(trace_io, name)
+    module = importlib.import_module(f".{_LAZY_NAMES[name]}", __package__)
+    value = globals()[name] = getattr(module, name)
     return value
 
 

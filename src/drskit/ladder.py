@@ -25,6 +25,7 @@ from .errors import (
     InputError,
     TooManyCandidates,
 )
+from .io import _res_key
 
 __all__ = [
     "QualityLog",
@@ -43,10 +44,6 @@ __all__ = [
 Resolution = tuple[int, int]
 
 _EXHAUSTIVE_CANDIDATE_LIMIT = 20
-
-
-def _res_key(res: Resolution) -> tuple[int, int]:
-    return (res[0] * res[1], res[0])
 
 
 def _int_array(values) -> np.ndarray:

@@ -34,7 +34,7 @@ from .errors import (
     NoComparablePairs,
     NotEvaluable,
 )
-from .ladder import _res_key
+from .io import _res_key
 from .rdmodel import (
     BISECT_TOL_KBPS,
     MIN_FIT_POINTS,

@@ -620,7 +620,7 @@ try:
 except SystemExit as exc:  # --version
     code = exc.code
 loaded = {p: sorted(m for m in sys.modules if m.split(".")[0] == p) for p in ("scipy", "drskit")}
-print(json.dumps({"code": code, **loaded, "numpy.ma": "numpy.ma" in sys.modules}))
+print(json.dumps({"code": code, **loaded, **{m: m in sys.modules for m in ("numpy", "numpy.ma")}}))
 """
 
 # The forest, the quality model and the Annex-B parser.
@@ -748,7 +748,18 @@ class TestImportBudget:
         assert self.probe()["scipy"] == []
 
     def test_version_loads_only_the_cli_and_its_readers(self, probed):
-        assert probed("--version")["drskit"] == ["drskit", "drskit.cli", "drskit.errors", "drskit.io", "drskit.ladder"]
+        assert probed("--version")["drskit"] == ["drskit", "drskit.cli", "drskit.errors", "drskit.io"]
+
+    # Start-up and the bitstream path run without numpy; every command
+    # that models, selects or simulates loads it.
+    NUMPY_FREE = ("--version", "extract-features")
+
+    @pytest.mark.parametrize("command", [*SUBCOMMANDS, "--version"])
+    def test_only_the_bitstream_path_runs_without_numpy(self, probed, command):
+        assert probed(command)["numpy"] == (command not in self.NUMPY_FREE)
+
+    def test_cli_import_loads_no_numpy(self):
+        assert self.probe()["numpy"] is False
 
     @pytest.mark.parametrize(
         "command", ["--version", "select-ladder", "simulate", "report", "fit", "crossover", "bench-rcql"]

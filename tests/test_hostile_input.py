@@ -1,10 +1,11 @@
 """Hostile-input contract of the CLI.
 
 Byte-level mutations of every input file kind (quality log, ladder JSON,
-trace JSON, bandwidth samples, weights JSON, scored points, feature log)
-are fed to the commands that read them.  Whatever the bytes, a command may only succeed (0), reject
-the input (2) or find the computation infeasible (3); an internal error
-(exit 4, with a traceback) is a bug in the reader or the layer behind it.
+trace JSON, bandwidth samples, weights JSON, scored points, feature log,
+Annex-B bitstream) are fed to the commands that read them.  Whatever the
+bytes, a command may only succeed (0), reject the input (2) or find the
+computation infeasible (3); an internal error (exit 4, with a traceback)
+is a bug in the reader or the layer behind it.
 """
 
 import contextlib
@@ -16,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from avcgen import simple_gop_stream
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -66,6 +68,7 @@ TARGETS = {
         ["simulate", "--log", None, "--ladder", LADDER, "--baseline", BASELINE],
     ),
     "quality-log/analyze-gops": ("log.csv", LOG.read_bytes(), ["analyze-gops", "--log", None]),
+    "quality-log/fit": ("log.csv", LOG.read_bytes(), ["fit", "--quality-log", None]),
     "bandwidth-samples/select-ladder": (
         "bandwidth.txt",
         BANDWIDTH,
@@ -79,6 +82,11 @@ TARGETS = {
     ),
     "ladder/simulate": ("ladder.json", LADDER.read_bytes(), ["simulate", "--log", LOG, "--ladder", None]),
     "trace/report": ("trace.json", TRACE.read_bytes(), ["report", "--baseline-trace", None, "--drs-trace", TRACE]),
+    "bitstream/extract-features": (
+        "clip.264",
+        simple_gop_stream(n_gops=2, p_per_gop=9, nal_bytes_each=60, qp_delta=3),
+        ["extract-features", None, "--fps", "10"],
+    ),
     "scored-points/fit": ("points.csv", scored_points_csv(), ["fit", "--scored-points", None]),
     "scored-points/crossover": ("points.csv", scored_points_csv(), ["crossover", "--scored-points", None]),
     "scored-points/bench-rcql": ("points.csv", scored_points_csv(), ["bench-rcql", "--scored-points", None]),
