@@ -179,10 +179,9 @@ def cmd_crossover(args) -> int:
             if args.range:
                 rng = (args.range[0], args.range[1])
             else:
-                rng = (
-                    max(lo_curve.r_min, hi_curve.r_min),
-                    min(lo_curve.bitrates[-1], hi_curve.bitrates[-1]),
-                )
+                rng = (max(lo_curve.r_min, hi_curve.r_min), min(lo_curve.bitrates[-1], hi_curve.bitrates[-1]))
+                if not rng[0] < rng[1]:  # the two curves share no bitrate range
+                    continue
             xover = find_crossover(
                 fitted(content, lo_res),
                 fitted(content, hi_res),

@@ -31,7 +31,7 @@ import math
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .errors import CsvSchemaError, InputError, InvariantError
+from .errors import CsvSchemaError, InputError
 
 if TYPE_CHECKING:
     from .curves import ScoredPoint
@@ -226,19 +226,6 @@ def load_quality_log(path, units: str = "kbps") -> QualityLog:
         return QualityLog.from_columns(*columns)
 
 
-def _quality_cells_ok(scale: float, raw_bitrates, widths, heights, scores) -> bool:
-    """Whether converted quality-log columns pass every row check."""
-    import numpy as np
-
-    return bool(
-        np.isfinite(raw_bitrates).all()
-        and (scale * raw_bitrates > 0).all()
-        and np.greater(widths, 0).all()
-        and np.greater(heights, 0).all()
-        and np.isfinite(scores).all()
-    )
-
-
 def _parse_plain_quality_log(path, scale: float):
     """The quality log's columns, read by ``np.loadtxt``, or None where
     the csv reader must read the file.
@@ -270,52 +257,47 @@ def _parse_plain_quality_log(path, scale: float):
     except ValueError:
         return None
     gops, raw_bitrates, widths, heights, scores = (numbers[name] for name in numbers.dtype.names)
-    if len(numbers) != len(rows) or not _quality_cells_ok(scale, raw_bitrates, widths, heights, scores):
+    bitrates = scale * raw_bitrates
+    if len(numbers) != len(rows) or not (
+        np.isfinite(raw_bitrates).all()
+        and (bitrates > 0).all()
+        and (widths > 0).all()
+        and (heights > 0).all()
+        and np.isfinite(scores).all()
+    ):
         return None
     content = [row.partition(",")[0] for row in rows]
-    return content, gops, scale * raw_bitrates, widths, heights, scores
+    return content, gops, bitrates, widths, heights, scores
 
 
 def _read_quality_log_rows(path, scale: float):
-    """The quality log's columns, read by ``csv.reader``; raises the
-    first bad row's error."""
-    import numpy as np
-
+    """The quality log's columns, read by ``csv.reader`` and checked row
+    by row; raises the first bad row's error."""
     header, rows = _read_table(path, QUALITY_LOG_COLUMNS)
     at = {name: k for k, name in enumerate(header)}  # a repeated name reads its last column
-    columns = list(zip(*rows))
+    c, g, b, w, h, v = (at[name] for name in QUALITY_LOG_COLUMNS)
+    records = []
+    for i, row in enumerate(rows, start=2):
+        gop, bitrate = _int(row[g], "gop_index", i), _bitrate_cell(row[b], scale, i)
+        size = _size(_int(row[w], "width", i), _int(row[h], "height", i), i)
+        records.append((row[c], gop, bitrate, *size, _float(row[v], "vqm_score", i)))
     del rows
-    content, gop, bitrate, width, height, score = (columns[at[c]] for c in QUALITY_LOG_COLUMNS)
-    del columns
-    # Convert whole columns; if any cell fails, redo the rows one by one
-    # to raise the first bad row's error.
-    try:
-        gops = list(map(int, gop))
-        widths = list(map(int, width))
-        heights = list(map(int, height))
-        raw_bitrates = np.fromiter(map(float, bitrate), float, len(bitrate))
-        scores = np.fromiter(map(float, score), float, len(score))
-    except ValueError:
-        valid = False
-    else:
-        valid = _quality_cells_ok(scale, raw_bitrates, widths, heights, scores)
-    if not valid:
-        for i, (g, b, w, h, v) in enumerate(zip(gop, bitrate, width, height, score), start=2):
-            _int(g, "gop_index", i)
-            _bitrate_cell(b, scale, i)
-            _size(_int(w, "width", i), _int(h, "height", i), i)
-            _float(v, "vqm_score", i)
-        raise InvariantError("a quality-log column failed to convert but none of its rows did")
-    return content, gops, scale * raw_bitrates, widths, heights, scores
+    return tuple(zip(*records))
+
+
+def _write_csv(path, header, rows) -> None:
+    """A header row, then ``rows``, as UTF-8 in ``csv.writer``'s default
+    dialect."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def write_quality_log(path, records) -> None:
     """records: iterable of (content_id, gop_index, bitrate_kbps, (w, h), score)."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(QUALITY_LOG_COLUMNS)
-        for content, gop, bitrate, res, score in records:
-            writer.writerow([content, gop, repr(float(bitrate)), int(res[0]), int(res[1]), repr(float(score))])
+    rows = ([c, g, repr(float(b)), int(res[0]), int(res[1]), repr(float(v))] for c, g, b, res, v in records)
+    _write_csv(path, QUALITY_LOG_COLUMNS, rows)
 
 
 def load_scored_points(path, units: str = "kbps") -> list[ScoredPoint]:
@@ -374,14 +356,10 @@ def write_feature_log(path, content_id: str, rows) -> None:
     """Write bitstream feature rows (GopFeatureRow) to the feature-log CSV."""
     from .avc.features import FEATURE_COLUMNS
 
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(FEATURE_LOG_ID_COLUMNS) + list(FEATURE_COLUMNS))
-        for r in rows:
-            writer.writerow(
-                [content_id, r.gop_index, repr(float(r.bitrate_kbps)), r.width, r.height]
-                + [repr(v) for v in r.feature_values()]
-            )
+    def row(r):
+        return [content_id, r.gop_index, repr(float(r.bitrate_kbps)), r.width, r.height, *map(repr, r.feature_values())]
+
+    _write_csv(path, FEATURE_LOG_ID_COLUMNS + FEATURE_COLUMNS, map(row, rows))
 
 
 def _json_fields(parse):
@@ -557,11 +535,8 @@ def write_json(path, obj) -> None:
 
 
 def write_probability_csv(path, table: ProbabilityTable) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["bitrate_kbps"] + [format_resolution(r) for r in table.resolutions])
-        for j, b in enumerate(table.rungs):
-            writer.writerow([repr(float(b))] + [repr(float(v)) for v in table.probabilities[j]])
+    rows = ([repr(float(b))] + [repr(float(v)) for v in p] for b, p in zip(table.rungs, table.probabilities))
+    _write_csv(path, ["bitrate_kbps"] + [format_resolution(r) for r in table.resolutions], rows)
 
 
 def _csv_cell(v) -> str:
@@ -578,24 +553,17 @@ def _csv_cell(v) -> str:
 def _write_records_csv(path, cls, records) -> None:
     """A header of the dataclass ``cls``'s field names, then one row per record."""
     names = [f.name for f in dataclasses.fields(cls)]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(names)
-        writer.writerows([_csv_cell(getattr(r, n)) for n in names] for r in records)
+    _write_csv(path, names, ([_csv_cell(getattr(r, n)) for n in names] for r in records))
 
 
 def write_rcql_csv(rows_path, pairs_path, report: RcqlReport) -> None:
     from .rcql import PairContentRow
 
     _write_records_csv(rows_path, PairContentRow, report.rows)
-    with open(pairs_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["pair", "metric", "value"])
-        writer.writerow(["dataset", "srocc", repr(report.srocc)])
-        writer.writerow(["dataset", "plcc", repr(report.plcc)])
-        for pair in sorted(report.pair_summary):
-            for metric in sorted(report.pair_summary[pair]):
-                writer.writerow([pair, metric, repr(report.pair_summary[pair][metric])])
+    summary = report.pair_summary
+    rows = [["dataset", "srocc", repr(report.srocc)], ["dataset", "plcc", repr(report.plcc)]]
+    rows += [[pair, m, repr(summary[pair][m])] for pair in sorted(summary) for m in sorted(summary[pair])]
+    _write_csv(pairs_path, ["pair", "metric", "value"], rows)
 
 
 # Names this module resolves on first use, by the module that defines
@@ -619,11 +587,8 @@ def __getattr__(name: str):
 
 
 def write_histogram_csv(path, bin_left, bin_right, counts) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["bin_left", "bin_right", "count"])
-        for l, r, c in zip(bin_left, bin_right, counts):
-            writer.writerow([repr(float(l)), repr(float(r)), int(c)])
+    rows = ([repr(float(l)), repr(float(r)), int(c)] for l, r, c in zip(bin_left, bin_right, counts))
+    _write_csv(path, ["bin_left", "bin_right", "count"], rows)
 
 
 def write_cv_rows_csv(path, result) -> None:

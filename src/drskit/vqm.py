@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import EmptyTrainingSet, SchemaMismatch
 from .forest import RegressionForest, TreeParams
+from .io import _json_fields, _load_json, write_json
 
 __all__ = [
     "FeatureSchema",
@@ -251,14 +252,10 @@ def model_from_dict(d: dict) -> ForestModel:
 
 
 def save_model(model: ForestModel, path) -> None:
-    from .io import write_json  # io imports this module
-
     write_json(path, model_to_dict(model))
 
 
 def load_model(path) -> ForestModel:
     """Read a model JSON; a syntax error or a missing or mistyped field
     is an InputError that names the file."""
-    from .io import _json_fields, _load_json  # io imports this module
-
     return _load_json(path, _json_fields(model_from_dict))

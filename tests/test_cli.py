@@ -210,6 +210,38 @@ class TestFitAndCrossover:
             }
             assert row["status"] in ("found", "none", "multiple_resolved")
 
+    # content -> resolution -> bitrates: a's two curves share no bitrate.
+    DISJOINT = {
+        "a": {"640x360": (100.0, 200.0, 300.0, 400.0), "1280x720": (1000.0, 2000.0, 3000.0, 4000.0)},
+        "b": {"640x360": (100.0, 400.0, 1000.0, 4000.0), "1280x720": (400.0, 1000.0, 2000.0, 4000.0)},
+    }
+
+    def write_disjoint_points(self, path, contents):
+        rows = ["content_id,resolution,bitrate_kbps,subjective_jod,objective_score\n"]
+        for content in contents:
+            for k, (res, bitrates) in enumerate(self.DISJOINT[content].items()):
+                for b in bitrates:
+                    s = float(1.0 + 8.0 / (1.0 + np.exp(-(b - 500.0 - 800.0 * k) / (300.0 + 400.0 * k))))
+                    rows.append(f"{content},{res},{b!r},{s!r},{s!r}\n")
+        path.write_text("".join(rows))
+
+    def test_crossover_skips_a_pair_without_a_common_range(self, tmp_path, capsys):
+        points_csv = tmp_path / "scores.csv"
+        self.write_disjoint_points(points_csv, ("a", "b"))
+        out = tmp_path / "xo"
+        assert run_cli("crossover", "--scored-points", points_csv, "--out", out) == 0
+        doc = json.loads((out / "crossovers.json").read_text())
+        assert [row["content_id"] for row in doc["crossovers"]] == ["b"]
+        # A range the user gives is still checked.
+        assert run_cli("crossover", "--scored-points", points_csv, "--range", 1000, 400, "--out", tmp_path / "r") == 2
+        assert "error: InvalidRange: invalid search range [1000.0, 400.0]" in capsys.readouterr().err
+
+    def test_crossover_without_any_common_range_exits_2(self, tmp_path, capsys):
+        points_csv = tmp_path / "scores.csv"
+        self.write_disjoint_points(points_csv, ("a",))
+        assert run_cli("crossover", "--scored-points", points_csv, "--out", tmp_path / "xo") == 2
+        assert "no resolution pair had two fittable curves" in capsys.readouterr().err
+
     def test_crossover_pair_order_is_irrelevant(self, tmp_path):
         # Equal pixel counts: the narrower resolution is the lower curve,
         # whichever way round the pair is written.

@@ -537,9 +537,15 @@ class TestNumpyParserBoundary:
     @given(quality_cells(), st.sampled_from(["kbps", "mbps"]))
     @settings(max_examples=300, deadline=None)
     def test_any_cells(self, tmp_path_factory, rows, units):
-        path = tmp_path_factory.mktemp("log") / "log.csv"
+        """The drawn file, then a QUOTE_ALL copy that only the row reader reads."""
+        folder = tmp_path_factory.mktemp("log")
+        path = folder / "log.csv"
         path.write_bytes((HEADER + "\n" + "".join(",".join(row) + "\n" for row in rows)).encode("utf-8"))
         same_outcome(path, units)
+        quoted = folder / "quoted.csv"
+        with open(quoted, "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh, quoting=csv.QUOTE_ALL).writerows([io.QUALITY_LOG_COLUMNS, *rows])
+        same_outcome(quoted, units)
 
 
 # --- simulate --------------------------------------------------------------
