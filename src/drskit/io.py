@@ -26,8 +26,10 @@ import dataclasses
 import functools
 import gc
 import importlib
+import itertools
 import json
 import math
+import operator
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -35,7 +37,7 @@ from .errors import CsvSchemaError, InputError
 
 if TYPE_CHECKING:
     from .curves import ScoredPoint
-    from .ladder import LadderSolution, ProbabilityTable, QualityLog  # ladder needs numpy; see __getattr__
+    from .ladder import LadderSolution, ProbabilityTable, QualityLog, _FirstSeen  # ladder needs numpy; see __getattr__
     from .rcql import RcqlReport  # only bench-rcql loads rcql
     from .vqm import FeatureSchema, GopRecord  # only the feature-log commands load vqm
 
@@ -206,8 +208,10 @@ def _read_rows(path, required: tuple[str, ...], exact: bool = True):
     return header, [(i, dict(zip(header, row))) for i, row in enumerate(rows, start=2)]
 
 
-# The numeric columns of a quality log, as numpy's C parser reads them.
+# The numeric columns of a quality log as numpy's C parser reads them, and
+# the characters of the file it is given at a time.
 _QUALITY_NUMBERS = [("gop_index", "i8"), ("bitrate_kbps", "f8"), ("width", "i8"), ("height", "i8"), ("vqm_score", "f8")]
+_QUALITY_READ_CHARS = 1 << 16
 
 
 def load_quality_log(path, units: str = "kbps") -> QualityLog:
@@ -216,63 +220,79 @@ def load_quality_log(path, units: str = "kbps") -> QualityLog:
     cell, is read again row by row, which names the first bad row."""
     # Imported before the collector pauses: importing numpy leaves cyclic
     # garbage, which kept through the read raised simulate's peak RSS by 3 MB.
-    from .ladder import QualityLog
+    from .ladder import QualityLog, _FirstSeen
 
     scale = unit_scale(units)
     with _gc_paused():
-        columns = _parse_plain_quality_log(path, scale)
+        columns = _parse_plain_quality_log(path, scale, _FirstSeen())
         if columns is None:
-            columns = _read_quality_log_rows(path, scale)
+            columns = _read_quality_log_rows(path, scale, _FirstSeen())
         return QualityLog.from_columns(*columns)
 
 
-def _parse_plain_quality_log(path, scale: float):
-    """The quality log's columns, read by ``np.loadtxt``, or None where
-    the csv reader must read the file.
+def _parse_plain_quality_log(path, scale: float, names: _FirstSeen):
+    """The quality log's columns, read by ``np.loadtxt`` in blocks of whole
+    lines, or None where the csv reader must read the file.  ``names``
+    gives each content id its code.
 
     Without quotes a CSV line is its cells joined by commas, so the
     content id is the text before the first comma.  Lines break where
     ``csv`` breaks them (``\\r``, ``\\n``), never where ``str.splitlines``
-    also does.  Where numpy accepts a number it gives ``int()``'s or
-    ``float()``'s value, except that it also strips the ASCII separators
+    also does; blank lines are skipped, so a ``\\r\\n`` split between two
+    blocks is one break.  Where numpy accepts a number it gives ``int()``'s
+    or ``float()``'s value, except that it also strips the ASCII separators
     ``\\x1c``-``\\x1f`` and reads some non-ASCII characters as digits, so
     files with either go to the csv reader."""
     import numpy as np
 
+    blocks: list[list] = [[] for _ in range(6)]  # per column, its array of each block
+    header, rest, more = None, "", True
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        try:
-            text = fh.read()
-        except UnicodeDecodeError:
-            return None
-    if '"' in text or any(c in text for c in "\x1c\x1d\x1e\x1f"):
+        while more:
+            try:
+                more = fh.read(_QUALITY_READ_CHARS)
+            except UnicodeDecodeError:
+                return None
+            text = rest + more
+            cut = max(text.rfind("\n"), text.rfind("\r")) + 1 if more else len(text)
+            text, rest = text[:cut], text[cut:]
+            if '"' in text or any(c in text for c in "\x1c\x1d\x1e\x1f"):
+                return None
+            rows = list(filter(None, text.replace("\r", "\n").split("\n")))
+            if header is None and rows and (header := rows.pop(0)) != ",".join(QUALITY_LOG_COLUMNS):
+                return None
+            if not rows:
+                continue
+            if not text.isascii() and not "".join([row.partition(",")[2] for row in rows]).isascii():
+                return None
+            try:
+                numbers = np.loadtxt(rows, _QUALITY_NUMBERS, comments=None, delimiter=",", usecols=range(1, 6), ndmin=1)
+            except ValueError:
+                return None
+            gops, raw_bitrates, widths, heights, scores = (numbers[name] for name in numbers.dtype.names)
+            bitrates = scale * raw_bitrates
+            if len(numbers) != len(rows) or not (
+                np.isfinite(raw_bitrates).all()
+                and (bitrates > 0).all()
+                and (widths > 0).all()
+                and (heights > 0).all()
+                and np.isfinite(scores).all()
+            ):
+                return None
+            ids = map(operator.itemgetter(0), map(str.partition, rows, itertools.repeat(",")))
+            codes = np.fromiter(map(names.__getitem__, ids), int, len(rows))
+            for column, values in zip(blocks, (codes, gops, bitrates, widths, heights, scores)):
+                column.append(np.ascontiguousarray(values))
+    if not blocks[0]:
         return None
-    lines = list(filter(None, text.replace("\r", "\n").split("\n")))
-    if len(lines) < 2 or lines[0] != ",".join(QUALITY_LOG_COLUMNS):
-        return None
-    rows = lines[1:]
-    if not text.isascii() and not "".join([row.partition(",")[2] for row in rows]).isascii():
-        return None
-    try:
-        numbers = np.loadtxt(rows, _QUALITY_NUMBERS, comments=None, delimiter=",", usecols=(1, 2, 3, 4, 5), ndmin=1)
-    except ValueError:
-        return None
-    gops, raw_bitrates, widths, heights, scores = (numbers[name] for name in numbers.dtype.names)
-    bitrates = scale * raw_bitrates
-    if len(numbers) != len(rows) or not (
-        np.isfinite(raw_bitrates).all()
-        and (bitrates > 0).all()
-        and (widths > 0).all()
-        and (heights > 0).all()
-        and np.isfinite(scores).all()
-    ):
-        return None
-    content = [row.partition(",")[0] for row in rows]
-    return content, gops, bitrates, widths, heights, scores
+    # Column by column, each one's blocks freed once joined.
+    return list(names), *(np.concatenate(blocks.pop(0)) for _ in range(6))
 
 
-def _read_quality_log_rows(path, scale: float):
+def _read_quality_log_rows(path, scale: float, names: _FirstSeen):
     """The quality log's columns, read by ``csv.reader`` and checked row
-    by row; raises the first bad row's error."""
+    by row; raises the first bad row's error.  ``names`` gives each
+    content id its code."""
     header, rows = _read_table(path, QUALITY_LOG_COLUMNS)
     at = {name: k for k, name in enumerate(header)}  # a repeated name reads its last column
     c, g, b, w, h, v = (at[name] for name in QUALITY_LOG_COLUMNS)
@@ -280,9 +300,9 @@ def _read_quality_log_rows(path, scale: float):
     for i, row in enumerate(rows, start=2):
         gop, bitrate = _int(row[g], "gop_index", i), _bitrate_cell(row[b], scale, i)
         size = _size(_int(row[w], "width", i), _int(row[h], "height", i), i)
-        records.append((row[c], gop, bitrate, *size, _float(row[v], "vqm_score", i)))
+        records.append((names[row[c]], gop, bitrate, *size, _float(row[v], "vqm_score", i)))
     del rows
-    return tuple(zip(*records))
+    return list(names), *zip(*records)
 
 
 def _write_csv(path, header, rows) -> None:

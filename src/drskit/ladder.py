@@ -38,7 +38,6 @@ __all__ = [
     "optimize_ladder_exhaustive",
     "optimize_ladder_greedy",
     "weights_from_bandwidth",
-    "ladder_objective",
 ]
 
 Resolution = tuple[int, int]
@@ -58,10 +57,27 @@ def _int_array(values) -> np.ndarray:
         return np.array(ints, dtype=object)
 
 
+class _FirstSeen(dict):
+    """Codes of keys, numbered in the order the keys are first looked up."""
+
+    def __missing__(self, key):
+        self[key] = code = len(self)
+        return code
+
+
+def _unique_codes(values: np.ndarray):
+    """The distinct values of an array in sorted order, and each entry's
+    index among them.  Unlike ``return_inverse``, this keeps no argsort of
+    the array; asking for counts makes ``np.unique`` sort a copy, which is
+    about twice as fast as its hash table on columns with few values."""
+    distinct, _ = np.unique(values, return_counts=True)
+    return distinct, np.searchsorted(distinct, values)
+
+
 def _pair_codes(first: np.ndarray, second: np.ndarray, n_second: int):
     """The distinct (first, second) pairs of two code arrays in sorted
     order, as two arrays, and each entry's index among them."""
-    keys, codes = np.unique(first * n_second + second, return_inverse=True)
+    keys, codes = _unique_codes(first * n_second + second)
     return *np.divmod(keys, n_second), codes
 
 
@@ -87,43 +103,48 @@ class QualityLog:
         if not records:
             raise EmptyInput("quality log has no records")
         content, gop, bitrate, res, score = zip(*records)
-        return cls.from_columns(content, gop, bitrate, [r[0] for r in res], [r[1] for r in res], score)
+        names = _FirstSeen()  # content id -> its code
+        codes = list(map(names.__getitem__, map(str, content)))
+        return cls.from_columns(list(names), codes, gop, bitrate, [r[0] for r in res], [r[1] for r in res], score)
 
     @classmethod
-    def from_columns(cls, content_ids, gop_indices, bitrates, widths, heights, scores) -> "QualityLog":
+    def from_columns(cls, content_names, content_codes, gop_indices, bitrates, widths, heights, scores) -> "QualityLog":
         """Build from one sequence per field, record ``i`` being entry
-        ``i`` of each.  A (GOP, rung, resolution) given twice is an
-        InputError naming the first record that repeats an earlier one."""
-        n = len(scores)
-        if n == 0:
+        ``i`` of each; its content id is ``content_names[content_codes[i]]``,
+        the names being distinct strings in any order.  A (GOP, rung,
+        resolution) given twice is an InputError naming the first record
+        that repeats an earlier one."""
+        if len(scores) == 0:
             raise EmptyInput("quality log has no records")
         # Each record's GOP and resolution become integer codes, numbered
         # in sorted order: a (content, GOP) or (width, height) pair is
-        # coded from the ranks of its two parts.
-        names = list(map(str, content_ids))
-        contents = sorted(set(names))
-        content_rank = dict(zip(contents, range(len(contents))))
-        content_of = np.fromiter(map(content_rank.__getitem__, names), np.int64, n)
+        # coded from the ranks of its two parts.  Each record-length array
+        # is dropped once it is used, so few exist at once.
+        name_order = sorted(range(len(content_names)), key=content_names.__getitem__)
         gops = _int_array(gop_indices)
-        gop_values, gop_rank = np.unique(gops, return_inverse=True)
+        gop_values, gop_rank = _unique_codes(gops)
+        content_of = np.argsort(name_order)[np.asarray(content_codes)]
         gop_content, gop_at, gop_of = _pair_codes(content_of, gop_rank, len(gop_values))
+        del content_of, gop_rank
+        contents = [content_names[k] for k in name_order]
         gop_ids = tuple(zip([contents[c] for c in gop_content.tolist()], gop_values[gop_at].tolist()))
         widths, heights = _int_array(widths), _int_array(heights)
-        width_values, width_rank = np.unique(widths, return_inverse=True)
-        height_values, height_rank = np.unique(heights, return_inverse=True)
-        pair_width, pair_height, pair_of = _pair_codes(width_rank, height_rank, len(height_values))
+        width_values, width_of = _unique_codes(widths)
+        height_values, height_of = _unique_codes(heights)
+        pair_width, pair_height, pair_of = _pair_codes(width_of, height_of, len(height_values))
+        del width_of, height_of
         pairs = list(zip(width_values[pair_width].tolist(), height_values[pair_height].tolist()))
         res_order = sorted(range(len(pairs)), key=lambda k: _res_key(pairs[k]))
         resolutions = tuple(pairs[k] for k in res_order)
-        res_of = np.argsort(res_order)[pair_of]
         bitrates = np.asarray(bitrates, dtype=float)
-        rung_values, rung_of = np.unique(bitrates, return_inverse=True)
-        flat = (gop_of * len(rung_values) + rung_of) * len(resolutions) + res_of
-        order = np.argsort(flat, kind="stable")
-        repeats = order[1:][flat[order[1:]] == flat[order[:-1]]]
-        if repeats.size:
-            i = int(repeats.min())
-            record = (content_ids[i], int(gops[i]), float(bitrates[i]), (int(widths[i]), int(heights[i])))
+        rung_values, rung_of = _unique_codes(bitrates)
+        flat = (gop_of * len(rung_values) + rung_of) * len(resolutions) + np.argsort(res_order)[pair_of]
+        del gop_of, rung_of, pair_of
+        if np.bincount(flat).max() > 1:
+            order = np.argsort(flat, kind="stable")
+            i = int(order[1:][flat[order[1:]] == flat[order[:-1]]].min())
+            content = content_names[content_codes[i]]
+            record = (content, int(gops[i]), float(bitrates[i]), (int(widths[i]), int(heights[i])))
             raise InputError(f"duplicate quality record for {record}")
         cube = np.full(len(gop_ids) * len(rung_values) * len(resolutions), np.nan)
         cube[flat] = np.asarray(scores, dtype=float)
@@ -242,21 +263,6 @@ class LadderSolution:
         for b, res in self.selected:
             out.setdefault(b, []).append(res)
         return out
-
-
-def ladder_objective(problem: LadderProblem, selected) -> float:
-    """Sum over rungs of weight times per-GOP best score among the
-    selected representations of that rung."""
-    by_rung: dict[float, list[np.ndarray]] = {}
-    for cand in selected:
-        by_rung.setdefault(cand[0], []).append(problem.candidate_column(cand))
-    total = 0.0
-    for b in problem.log.rungs:
-        cols = by_rung.get(b)
-        if not cols:
-            raise InputError(f"selection leaves rung {b} empty")
-        total += problem.weights[b] * float(np.maximum.reduce(cols).sum())
-    return total
 
 
 def optimize_ladder_exhaustive(problem: LadderProblem) -> LadderSolution:

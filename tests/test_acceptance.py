@@ -23,11 +23,12 @@ from drskit.avc.bitio import BitReader, BitWriter
 from drskit.avc.features import extract_gop_features
 from drskit.drs import ManifestEntry, bd_rate, filter_manifest, simulate, trace_rd_points
 from drskit.errors import ToolkitError
-from drskit.ladder import LadderProblem, QualityLog, ladder_objective, optimize_ladder_exhaustive, optimize_ladder_greedy
+from drskit.ladder import LadderProblem, QualityLog, optimize_ladder_exhaustive, optimize_ladder_greedy
 from drskit.protocol import CvConfig, cross_validate, greedy_feature_selection
 from drskit.rcql import ScoredPoint, build_report
 from drskit.rdmodel import RDCurve, eval_logistic, find_crossover, fit_logistic
 from drskit.vqm import FeatureSchema, GopRecord, Hyperparams, model_to_dict, train
+from test_ladder import ladder_objective
 
 DATA = Path(__file__).parent / "data"
 R540, R720, R1080 = (960, 540), (1280, 720), (1920, 1080)

@@ -1,3 +1,4 @@
+import csv
 import itertools
 import math
 import struct
@@ -5,6 +6,7 @@ import struct
 import numpy as np
 import pytest
 
+from drskit import io
 from drskit.errors import EmptyInput, IncompleteLog, InfeasibleK, InputError, TooManyCandidates
 from drskit.ladder import (
     LadderProblem,
@@ -12,7 +14,6 @@ from drskit.ladder import (
     QualityLog,
     best_resolution_probability,
     cumulative_probability,
-    ladder_objective,
     optimize_ladder_exhaustive,
     optimize_ladder_greedy,
     weights_from_bandwidth,
@@ -21,6 +22,21 @@ from drskit.ladder import (
 R540 = (960, 540)
 R720 = (1280, 720)
 R1080 = (1920, 1080)
+
+
+def ladder_objective(problem: LadderProblem, selected) -> float:
+    """The oracle objective: the sum over rungs of the weight times the
+    per-GOP best score among the selected representations of that rung."""
+    by_rung: dict[float, list[np.ndarray]] = {}
+    for cand in selected:
+        by_rung.setdefault(cand[0], []).append(problem.candidate_column(cand))
+    total = 0.0
+    for b in problem.log.rungs:
+        cols = by_rung.get(b)
+        if not cols:
+            raise InputError(f"selection leaves rung {b} empty")
+        total += problem.weights[b] * float(np.maximum.reduce(cols).sum())
+    return total
 
 
 def log_from_array(scores, rungs, resolutions, content="c"):
@@ -52,6 +68,24 @@ class TestQualityLog:
     def test_empty_rejected(self):
         with pytest.raises(EmptyInput):
             QualityLog.from_records([])
+
+    @pytest.mark.parametrize("entry", ["numpy", "csv", "from_records"])
+    def test_duplicate_record_message(self, tmp_path, monkeypatch, entry):
+        """Every way in names the first record that repeats an earlier
+        one, with its content id, though ids are coded in first-seen order
+        ("d" before "c") and ranked in sorted order."""
+        records = [("d", 0, 1000.0, R540, 5.0), ("c", 0, 1000.0, R540, 4.0), ("d", 0, 1000.0, R540, 3.0)]
+        path = tmp_path / "log.csv"
+        if entry == "numpy":
+            io.write_quality_log(path, records)
+            monkeypatch.setattr(io, "_read_table", pytest.fail)  # the csv reader must not run
+        elif entry == "csv":
+            with open(path, "w", encoding="utf-8", newline="") as fh:  # quotes send it to the csv reader
+                rows = [[c, g, b, w, h, v] for c, g, b, (w, h), v in records]
+                csv.writer(fh, quoting=csv.QUOTE_ALL).writerows([io.QUALITY_LOG_COLUMNS, *rows])
+        with pytest.raises(InputError) as err:
+            QualityLog.from_records(records) if entry == "from_records" else io.load_quality_log(path)
+        assert str(err.value) == "duplicate quality record for ('d', 0, 1000.0, (960, 540))"
 
 
 class TestBestResolutionProbability:

@@ -9,10 +9,13 @@ error texts, the same traces and the same bytes.  The trace reader for
 """
 
 import csv
+import functools
 import json
 import random
 import re
+import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -246,6 +249,13 @@ def same_outcome(path: Path, units: str = "kbps") -> None:
         assert_same_log(io.load_quality_log(path, units), want)
 
 
+# Block sizes, in characters, small enough that every line of a test file
+# starts a block of its own or lies in a later block than the header;
+# ``with small_blocks(n):`` reads quality logs n characters at a time.
+READ_CHARS = [1, 7, 64]
+small_blocks = functools.partial(mock.patch.object, io, "_QUALITY_READ_CHARS")
+
+
 CONTENT_IDS = st.text(
     alphabet=st.sampled_from(list("abcXYZ019 ,\"'\t\r\n\x00") + ["é", "ü", "中", "—", "🎬"]),
     max_size=6,
@@ -320,6 +330,15 @@ class TestIngest:
         path = write_csv(tmp_path_factory.mktemp("log") / "log.csv", rows)
         assert_same_log(io.load_quality_log(path, units), oracle_load_quality_log(path, units))
 
+    @pytest.mark.parametrize("read_chars", READ_CHARS)
+    @given(quality_logs())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_per_record_reader_in_small_blocks(self, tmp_path_factory, read_chars, drawn):
+        rows, units = drawn
+        path = write_csv(tmp_path_factory.mktemp("log") / "log.csv", rows)
+        with small_blocks(read_chars):
+            assert_same_log(io.load_quality_log(path, units), oracle_load_quality_log(path, units))
+
     @given(quality_logs())
     @settings(max_examples=50, deadline=None)
     def test_from_records_matches_per_record_build(self, drawn):
@@ -335,6 +354,33 @@ class TestIngest:
         rows = [["c", "0", "1000", "960", "540", "5.0", "extra"], ["c", "0", "2000", "960", "540", "6.0"]]
         path = write_csv(tmp_path / "log.csv", rows, blank_lines=(0, 1))
         assert_same_log(io.load_quality_log(path), oracle_load_quality_log(path))
+
+    def test_peak_memory_follows_the_numbers(self, tmp_path):
+        """A plain log of 57 600 rows loads with a peak below four times
+        its bytes: the text is read a block at a time and each row keeps
+        only numbers, its content id as a code."""
+        rng = random.Random(7)
+        rungs = (1000.0, 1500.0, 2000.0, 3000.0, 4000.0, 6000.0, 8000.0, 10000.0)
+        resolutions = ((960, 540), (1280, 720), (1920, 1080))
+        records = [
+            (f"c{c:02d}", g, b, res, round(rng.uniform(0.0, 10.0), 4))
+            for c in range(20)
+            for g in range(120)
+            for b in rungs
+            for res in resolutions
+        ]
+        path = tmp_path / "log.csv"
+        io.write_quality_log(path, records)
+        del records
+        io.load_quality_log(path)  # imports outside the measurement
+        tracemalloc.start()
+        try:
+            log = io.load_quality_log(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert log.scores.shape == (2400, 8, 3)
+        assert peak < 4 * path.stat().st_size
 
     GOOD = ["c", "0", "1000", "960", "540", "5.0"]
 
@@ -449,6 +495,7 @@ BOUNDARY_FILES = {
     "whitespace-only line": "c,0,1000,960,540,5.0\n   \nc,1,1000,960,540,4.0\n",
     "tab-only line": "c,0,1000,960,540,5.0\n\t\n",
     "cr line ends": "c,0,1000,960,540,5.0\rc,1,1000,960,540,4.0\r",
+    "no line break at the end": "c,0,1000,960,540,5.0\nc,2,1000,960,540,4.0",
     "x1c inside a row": "c,0,1000,960,540,5.0\x1cc,1,1000,960,540,4.0\n",
     "x85 inside a row": "c,0,1000,960,540,5.0\x85c,1,1000,960,540,4.0\n",
     "u2028 inside a row": "c,0,1000,960,540,5.0\u2028c,1,1000,960,540,4.0\n",
@@ -481,6 +528,15 @@ class TestNumpyParserBoundary:
         path.write_bytes((HEADER + "\n" + PLAIN_ROW + BOUNDARY_FILES[name]).encode("utf-8"))
         same_outcome(path, units)
 
+    @pytest.mark.parametrize("read_chars", READ_CHARS)
+    @pytest.mark.parametrize("name", sorted(BOUNDARY_FILES))
+    def test_boundary_file_in_small_blocks(self, tmp_path, name, read_chars):
+        """Each case lands on a block edge or in a later block than the
+        header: a \\r\\n split between two blocks, blank lines, quotes,
+        separators, non-ASCII text and bad cells."""
+        with small_blocks(read_chars):
+            self.test_boundary_file(tmp_path, name, "kbps")
+
     @pytest.mark.parametrize(
         "header",
         [
@@ -500,6 +556,17 @@ class TestNumpyParserBoundary:
         path.write_bytes((HEADER + "\nc\xe9,0,1000,960,540,5.0\n").encode("latin-1"))
         with pytest.raises(InputError, match="not UTF-8 text"):
             io.load_quality_log(path)
+
+    @pytest.mark.parametrize("read_chars", READ_CHARS)
+    def test_not_utf8_in_small_blocks(self, tmp_path, read_chars):
+        with small_blocks(read_chars):
+            self.test_not_utf8(tmp_path)
+
+    @pytest.mark.parametrize("read_chars", READ_CHARS)
+    def test_plain_log_in_small_blocks_never_reaches_csv_reader(self, tmp_path, monkeypatch, read_chars):
+        """CRLF line ends, so a block may end between \\r and \\n."""
+        with small_blocks(read_chars):
+            self.test_plain_log_never_reaches_csv_reader(tmp_path, monkeypatch, ("na\u00efve", "c#1", " c "))
 
     @pytest.mark.parametrize(
         "ids", [("plain", "other"), ("na\u00efve", "\u4e2d\u6587", "emoji\U0001f3ac"), ("c\x00d", "c#1", " c ")]
