@@ -1,6 +1,6 @@
 """Header-level AVC Annex-B parsing and per-GOP feature aggregation."""
 
-from .bitio import BitReader, BitWriter
+from .bitio import BitReader
 from .nal import (
     NAL_IDR_SLICE,
     NAL_NON_IDR_SLICE,
@@ -8,9 +8,7 @@ from .nal import (
     NAL_SPS,
     AnnexBScan,
     NalUnit,
-    insert_emulation_prevention,
     scan_annexb,
-    split_annexb,
     strip_emulation_prevention,
 )
 from .headers import (
@@ -33,17 +31,14 @@ from .features import (
 
 __all__ = [
     "BitReader",
-    "BitWriter",
     "NalUnit",
     "AnnexBScan",
     "NAL_SPS",
     "NAL_PPS",
     "NAL_IDR_SLICE",
     "NAL_NON_IDR_SLICE",
-    "split_annexb",
     "scan_annexb",
     "strip_emulation_prevention",
-    "insert_emulation_prevention",
     "SpsInfo",
     "PpsInfo",
     "SliceHeaderInfo",

@@ -1,4 +1,4 @@
-"""MSB-first bit cursor and writer with Exp-Golomb coding.
+"""MSB-first bit cursor with Exp-Golomb decoding.
 
 The reader never scans past the payload end: every primitive raises
 ``BitstreamExhausted`` instead, and Exp-Golomb prefixes are capped at 32
@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from ..errors import BitstreamExhausted, MalformedSyntax
 
-__all__ = ["BitReader", "BitWriter"]
+__all__ = ["BitReader"]
 
 _UE_MAX_LEADING_ZEROS = 32
 
@@ -58,58 +58,3 @@ class BitReader:
         k = self.read_ue()
         magnitude = (k + 1) >> 1
         return magnitude if k & 1 else -magnitude
-
-
-class BitWriter:
-    def __init__(self):
-        self._bits: list[int] = []
-
-    def write_bit(self, bit: int) -> "BitWriter":
-        self._bits.append(1 if bit else 0)
-        return self
-
-    def write_bits(self, value: int, n: int) -> "BitWriter":
-        if value < 0 or (n < 64 and value >= (1 << n)):
-            raise MalformedSyntax(f"value {value} does not fit in {n} bits")
-        for i in range(n - 1, -1, -1):
-            self.write_bit((value >> i) & 1)
-        return self
-
-    def write_ue(self, value: int) -> "BitWriter":
-        if value < 0:
-            raise MalformedSyntax(f"ue value must be >= 0, got {value}")
-        code = value + 1
-        n = code.bit_length()
-        self.write_bits(0, n - 1)
-        self.write_bits(code, n)
-        return self
-
-    def write_se(self, value: int) -> "BitWriter":
-        if value > 0:
-            k = 2 * value - 1
-        else:
-            k = -2 * value
-        return self.write_ue(k)
-
-    def write_trailing_bits(self) -> "BitWriter":
-        """RBSP stop bit plus zero padding to a byte boundary."""
-        self.write_bit(1)
-        while len(self._bits) % 8 != 0:
-            self.write_bit(0)
-        return self
-
-    def to_bytes(self) -> bytes:
-        out = bytearray()
-        acc = 0
-        for i, b in enumerate(self._bits):
-            acc = (acc << 1) | b
-            if i % 8 == 7:
-                out.append(acc)
-                acc = 0
-        tail = len(self._bits) % 8
-        if tail:
-            out.append(acc << (8 - tail))
-        return bytes(out)
-
-    def __len__(self) -> int:
-        return len(self._bits)

@@ -22,13 +22,10 @@ __all__ = [
     "parse_sps",
     "parse_pps",
     "parse_slice_header",
-    "SLICE_TYPE_NAMES",
 ]
 
 # Profiles whose SPS carries the chroma/bit-depth/scaling-matrix block.
 _EXTENDED_SPS_PROFILES = frozenset({100, 110, 122, 244, 44, 83, 86, 118, 128, 138, 139, 134, 135})
-
-SLICE_TYPE_NAMES = ("P", "B", "I", "SP", "SI", "P_ALL", "B_ALL", "I_ALL", "SP_ALL", "SI_ALL")
 
 # SubWidthC / SubHeightC per chroma_format_idc 1..3
 _SUB_WC = {1: 2, 2: 2, 3: 1}
@@ -82,10 +79,6 @@ class SliceHeaderInfo:
     slice_qp_delta: int
     slice_qp: int
     is_idr: bool
-
-    @property
-    def slice_type_name(self) -> str:
-        return SLICE_TYPE_NAMES[self.slice_type]
 
     @property
     def category(self) -> str:

@@ -15,9 +15,7 @@ __all__ = [
     "NalUnit",
     "AnnexBScan",
     "strip_emulation_prevention",
-    "insert_emulation_prevention",
     "scan_annexb",
-    "split_annexb",
 ]
 
 NAL_NON_IDR_SLICE = 1
@@ -30,7 +28,6 @@ NAL_AUD = 9
 # H.264 7.4.1: inside a NAL unit, 00 00 is never followed by a byte <= 3;
 # the encoder escapes such a byte with a 03 in between.
 _ESCAPED = re.compile(b"\x00\x00\x03(?=[\x00-\x03])")
-_NEEDS_ESCAPE = re.compile(b"\x00\x00(?=[\x00-\x03])")
 
 
 @dataclass(frozen=True)
@@ -61,11 +58,6 @@ class AnnexBScan:
 def strip_emulation_prevention(data: bytes) -> bytes:
     """Remove 0x03 emulation-prevention bytes (00 00 03 0x, x <= 3)."""
     return _ESCAPED.sub(b"\x00\x00", data)
-
-
-def insert_emulation_prevention(data: bytes) -> bytes:
-    """Insert 0x03 before any byte <= 3 that follows two zero bytes."""
-    return _NEEDS_ESCAPE.sub(b"\x00\x00\x03", data)
 
 
 def _find_start_codes(data: bytes) -> list[tuple[int, int]]:
@@ -122,7 +114,3 @@ def scan_annexb(data: bytes) -> AnnexBScan:
             )
         )
     return AnnexBScan(tuple(units), leading, violations, truncated)
-
-
-def split_annexb(data: bytes) -> list[NalUnit]:
-    return list(scan_annexb(data).units)

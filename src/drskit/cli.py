@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 import traceback
 from collections import defaultdict
@@ -511,6 +512,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # Before numpy loads OpenBLAS: no thread pool to start, and no ddot bits that vary with the core count.
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     args = _build_parser().parse_args(argv)
     try:

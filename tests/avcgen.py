@@ -1,15 +1,92 @@
 """Synthetic Annex-B stream builder used as the parser's field-level oracle.
 
 Writes SPS/PPS/slice syntax element by element, independently of the
-parser's reading code, so round-trip tests check both sides.
+parser's reading code, so round-trip tests check both sides.  The writer
+side of the bitstream code lives here, since only the tests write
+streams: ``BitWriter``, ``insert_emulation_prevention``, and
+``split_annexb`` and ``slice_type_name`` for reading units back.
 """
 
+import re
 from dataclasses import dataclass, field
 
-from drskit.avc.bitio import BitWriter
-from drskit.avc.nal import insert_emulation_prevention
+from drskit.avc.headers import SliceHeaderInfo
+from drskit.avc.nal import NalUnit, scan_annexb
+from drskit.errors import MalformedSyntax
 
 START_CODE = b"\x00\x00\x00\x01"
+
+SLICE_TYPE_NAMES = ("P", "B", "I", "SP", "SI", "P_ALL", "B_ALL", "I_ALL", "SP_ALL", "SI_ALL")
+
+_NEEDS_ESCAPE = re.compile(b"\x00\x00(?=[\x00-\x03])")
+
+
+class BitWriter:
+    def __init__(self):
+        self._bits: list[int] = []
+
+    def write_bit(self, bit: int) -> "BitWriter":
+        self._bits.append(1 if bit else 0)
+        return self
+
+    def write_bits(self, value: int, n: int) -> "BitWriter":
+        if value < 0 or (n < 64 and value >= (1 << n)):
+            raise MalformedSyntax(f"value {value} does not fit in {n} bits")
+        for i in range(n - 1, -1, -1):
+            self.write_bit((value >> i) & 1)
+        return self
+
+    def write_ue(self, value: int) -> "BitWriter":
+        if value < 0:
+            raise MalformedSyntax(f"ue value must be >= 0, got {value}")
+        code = value + 1
+        n = code.bit_length()
+        self.write_bits(0, n - 1)
+        self.write_bits(code, n)
+        return self
+
+    def write_se(self, value: int) -> "BitWriter":
+        if value > 0:
+            k = 2 * value - 1
+        else:
+            k = -2 * value
+        return self.write_ue(k)
+
+    def write_trailing_bits(self) -> "BitWriter":
+        """RBSP stop bit plus zero padding to a byte boundary."""
+        self.write_bit(1)
+        while len(self._bits) % 8 != 0:
+            self.write_bit(0)
+        return self
+
+    def to_bytes(self) -> bytes:
+        out = bytearray()
+        acc = 0
+        for i, b in enumerate(self._bits):
+            acc = (acc << 1) | b
+            if i % 8 == 7:
+                out.append(acc)
+                acc = 0
+        tail = len(self._bits) % 8
+        if tail:
+            out.append(acc << (8 - tail))
+        return bytes(out)
+
+    def __len__(self) -> int:
+        return len(self._bits)
+
+
+def insert_emulation_prevention(data: bytes) -> bytes:
+    """Insert 0x03 before any byte <= 3 that follows two zero bytes."""
+    return _NEEDS_ESCAPE.sub(b"\x00\x00\x03", data)
+
+
+def split_annexb(data: bytes) -> list[NalUnit]:
+    return list(scan_annexb(data).units)
+
+
+def slice_type_name(header: SliceHeaderInfo) -> str:
+    return SLICE_TYPE_NAMES[header.slice_type]
 
 
 @dataclass

@@ -17,9 +17,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from avcgen import simple_gop_stream
+from avcgen import BitWriter, simple_gop_stream
 from drskit import io
-from drskit.avc.bitio import BitReader, BitWriter
+from drskit.avc.bitio import BitReader
 from drskit.avc.features import extract_gop_features
 from drskit.drs import ManifestEntry, bd_rate, filter_manifest, simulate, trace_rd_points
 from drskit.errors import ToolkitError
@@ -371,10 +371,9 @@ def test_criterion_8_parser_conformance(capsys):
             assert r.read_se() == v
 
         # Field-exact parameter-set round trips through the fixture writer.
-        from avcgen import PpsSpec, SliceSpec, SpsSpec, build_pps, build_sps, build_stream
+        from avcgen import PpsSpec, SliceSpec, SpsSpec, build_pps, build_sps, build_stream, split_annexb
         from drskit.avc.features import parse_stream
         from drskit.avc.headers import parse_pps, parse_sps
-        from drskit.avc.nal import split_annexb
 
         for width, height in ((640, 360), (960, 540), (1280, 720), (1920, 1080)):
             for poc in (0, 2):

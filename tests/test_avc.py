@@ -5,16 +5,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from avcgen import PpsSpec, SliceSpec, SpsSpec, build_pps, build_slice, build_sps, build_stream, simple_gop_stream
-from drskit.avc.bitio import BitReader, BitWriter
+from avcgen import (
+    BitWriter,
+    PpsSpec,
+    SliceSpec,
+    SpsSpec,
+    build_pps,
+    build_slice,
+    build_sps,
+    build_stream,
+    insert_emulation_prevention,
+    simple_gop_stream,
+    slice_type_name,
+    split_annexb,
+)
+from drskit.avc.bitio import BitReader
 from drskit.avc.features import extract_gop_features, parse_stream
 from drskit.avc.headers import parse_pps, parse_sps
-from drskit.avc.nal import (
-    insert_emulation_prevention,
-    scan_annexb,
-    split_annexb,
-    strip_emulation_prevention,
-)
+from drskit.avc.nal import scan_annexb, strip_emulation_prevention
 from drskit.errors import (
     BitstreamExhausted,
     EmptyInput,
@@ -180,7 +188,7 @@ class TestHeaderParsing:
         assert len(slices) == 1
         assert slices[0].header.slice_qp == 28
         assert slices[0].header.is_idr
-        assert slices[0].header.slice_type_name == "I_ALL"
+        assert slice_type_name(slices[0].header) == "I_ALL"
 
     def test_unknown_pps_raises(self):
         sps = SpsSpec()

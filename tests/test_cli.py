@@ -1,6 +1,7 @@
 import argparse
 import csv
 import json
+import os
 import subprocess
 import sys
 import warnings
@@ -643,16 +644,18 @@ class TestMalformedJson:
 
 # Run in a fresh interpreter: prints the exit code of the given CLI call,
 # the scipy and drskit modules loaded by the import of drskit.cli and that
-# call, and whether they loaded numpy.ma.
+# call, whether they loaded numpy and numpy.ma, and the process's thread
+# count after the call (None without /proc).
 IMPORT_PROBE = """
-import json, sys
+import json, os, sys
 from drskit.cli import main
 try:
     code = main(sys.argv[1:]) if len(sys.argv) > 1 else 0
 except SystemExit as exc:  # --version
     code = exc.code
 loaded = {p: sorted(m for m in sys.modules if m.split(".")[0] == p) for p in ("scipy", "drskit")}
-print(json.dumps({"code": code, **loaded, **{m: m in sys.modules for m in ("numpy", "numpy.ma")}}))
+threads = len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None
+print(json.dumps({"code": code, "threads": threads, **loaded, **{m: m in sys.modules for m in ("numpy", "numpy.ma")}}))
 """
 
 # The forest, the quality model and the Annex-B parser.
@@ -709,10 +712,21 @@ class TestParser:
         assert capsys.readouterr().out.startswith(f"usage: drskit {command} ")
 
 
+def blas_env(threads):
+    """This process's environment with ``OPENBLAS_NUM_THREADS`` set to
+    ``threads``, or unset for None."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    return env if threads is None else {**env, "OPENBLAS_NUM_THREADS": threads}
+
+
 class TestImportBudget:
-    def probe(self, *argv):
+    def probe(self, *argv, openblas_threads=None):
         result = subprocess.run(
-            [sys.executable, "-c", IMPORT_PROBE, *map(str, argv)], capture_output=True, text=True, check=True
+            [sys.executable, "-c", IMPORT_PROBE, *map(str, argv)],
+            capture_output=True,
+            text=True,
+            check=True,
+            env=blas_env(openblas_threads),
         )
         doc = json.loads(result.stdout.splitlines()[-1])
         assert doc["code"] == 0
@@ -754,10 +768,11 @@ class TestImportBudget:
         argv["--version"] = ["--version"]
         found = {}
 
-        def modules_of(command):
-            if command not in found:
-                found[command] = self.probe(*argv[command])
-            return found[command]
+        def modules_of(command, openblas_threads=None):
+            key = command, openblas_threads
+            if key not in found:
+                found[key] = self.probe(*argv[command], openblas_threads=openblas_threads)
+            return found[key]
 
         return modules_of
 
@@ -792,6 +807,16 @@ class TestImportBudget:
 
     def test_cli_import_loads_no_numpy(self):
         assert self.probe()["numpy"] is False
+
+    # main pins OpenBLAS to one thread before numpy loads, whatever the
+    # environment asks for, so no command starts a BLAS thread pool.
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads in /proc")
+    @pytest.mark.parametrize("openblas_threads", [None, "4"])
+    @pytest.mark.parametrize("command", [*SUBCOMMANDS, "--version"])
+    def test_every_command_ends_on_one_thread(self, probed, command, openblas_threads):
+        doc = probed(command, openblas_threads)
+        assert doc["threads"] == 1
+        assert doc["numpy"] == (command not in self.NUMPY_FREE)
 
     @pytest.mark.parametrize(
         "command", ["--version", "select-ladder", "simulate", "report", "fit", "crossover", "bench-rcql"]
@@ -878,6 +903,41 @@ class TestImportBudget:
                 assert value is getattr(importlib.import_module(f"drskit.{drskit._EXPORTS[name]}"), name)
         with pytest.raises(AttributeError):
             drskit.no_such_name
+
+
+def write_wide_feature_csv(path, n_records, seed):
+    """A feature log of four uniform features, labelled by a sum of them."""
+    rng = np.random.default_rng(seed)
+    features = rng.uniform(0.0, 1.0, (n_records, 4))
+    labels = 8.0 * features[:, 0] + features[:, 1:].sum(axis=1) + 1.0
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["content_id", "gop_index", "bitrate_kbps", "width", "height", "f_0", "f_1", "f_2", "f_3", "label_jod"])
+        for r, (f, label) in enumerate(zip(features.tolist(), labels.tolist())):
+            w.writerow([f"content{r % 4}", r // 4, repr(1000.0 * (r // 4 + 1)), 1280, 720, *map(repr, f), repr(label)])
+
+
+class TestBlasThreads:
+    def test_training_bits_ignore_openblas_threads(self, tmp_path):
+        """OpenBLAS splits a ddot of more than 10 000 elements across its
+        threads, so each root's label sum of squares, and with it the
+        feature importances, would change with the thread count.  With
+        2 threads on 2 CPUs, this log's importances differ in their last
+        bits unless the command pins one thread."""
+        features = tmp_path / "features.csv"
+        write_wide_feature_csv(features, 10_004, seed=1)
+        outs = {}
+        for threads in ("1", "2"):
+            outs[threads] = out = tmp_path / f"threads{threads}"
+            argv = ["train", "--features", features, "--trees", 3, "--max-depth", 3, "--out", out]
+            subprocess.run(
+                [sys.executable, "-m", "drskit.cli", *map(str, argv)],
+                capture_output=True,
+                check=True,
+                env=blas_env(threads),
+            )
+        for name in ("model.json", "training_summary.json"):
+            assert (outs["1"] / name).read_bytes() == (outs["2"] / name).read_bytes()
 
 
 class TestSubprocessInterface:

@@ -1,17 +1,19 @@
 """Differential tests of Annex-B emulation prevention against byte loops.
 
 ``loop_strip`` and ``loop_insert`` are the per-byte state machines that
-``drskit.avc.nal`` replaced with one regular-expression substitution
-each way.  Inputs are drawn mostly from 0x00-0x03, where every escape
-decision is made, with a few other bytes to break the runs.
+``drskit.avc.nal`` (stripping) and the test stream writer ``avcgen``
+(inserting) replaced with one regular-expression substitution each.
+Inputs are drawn mostly from 0x00-0x03, where every escape decision is
+made, with a few other bytes to break the runs.
 """
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from avcgen import insert_emulation_prevention
 from drskit.avc import nal
-from drskit.avc.nal import insert_emulation_prevention, scan_annexb, strip_emulation_prevention
+from drskit.avc.nal import scan_annexb, strip_emulation_prevention
 
 
 def loop_strip(data: bytes) -> bytes:
