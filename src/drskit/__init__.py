@@ -39,7 +39,7 @@ _NAMES_BY_SUBMODULE = {
         "rcql_s",
     ),
     "rdmodel": ("CrossOverResult", "LogisticParams", "eval_logistic", "find_crossover", "fit_logistic"),
-    "vqm": ("FeatureSchema", "ForestModel", "GopRecord", "Hyperparams", "feature_importance", "predict", "train"),
+    "vqm": ("FeatureSchema", "ForestModel", "GopRecord", "feature_importance", "predict", "train"),
 }
 _EXPORTS = {name: module for module, names in _NAMES_BY_SUBMODULE.items() for name in names}
 

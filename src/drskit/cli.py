@@ -42,14 +42,24 @@ def _echo_config(args, argv: list[str]) -> None:
     io.write_json(out_dir / f"{args.command}.run_config.json", doc)
 
 
-def _parse_pair(text: str) -> tuple[tuple[int, int], tuple[int, int]]:
-    parts = text.split(":")
-    if len(parts) != 2:
-        raise InputError(f"pair {text!r} is not WxH:WxH")
-    a = io.parse_resolution(parts[0])
-    b = io.parse_resolution(parts[1])
-    lo, hi = sorted((a, b), key=_res_key)
-    return lo, hi
+def _parse_pairs(text: str | None) -> list[tuple[tuple[int, int], tuple[int, int]]] | None:
+    """The resolution pairs of a ``WxH:WxH[,WxH:WxH...]`` list, each as
+    (lower, higher), or None without a list.  A pair that names one
+    resolution twice, or repeats an earlier pair, is bad input."""
+    if not text:
+        return None
+    pairs = []
+    for item in text.split(","):
+        parts = item.split(":")
+        if len(parts) != 2:
+            raise InputError(f"pair {item!r} is not WxH:WxH")
+        pair = tuple(sorted(map(io.parse_resolution, parts), key=_res_key))
+        if pair[0] == pair[1]:
+            raise InputError(f"pair {item!r} names one resolution twice")
+        if pair in pairs:
+            raise InputError(f"pair {item!r} repeats an earlier pair")
+        pairs.append(pair)
+    return pairs
 
 
 def _parse_feature_subsample(text: str):
@@ -86,35 +96,30 @@ def _base_features(args) -> tuple[str, ...]:
 
 
 def _mean_rd_curves(args) -> dict[str, dict[tuple[int, int], RDCurve]]:
-    """Per (content, resolution) RD curves from either input kind."""
+    """Per (content, resolution) RD curves from either input kind; a group
+    of fewer than 2 samples has no curve."""
     import numpy as np
 
     from .curves import RDCurve
 
-    curves: dict[str, dict[tuple[int, int], RDCurve]] = defaultdict(dict)
+    grouped: dict[tuple[str, tuple[int, int]], list] = defaultdict(list)
     if args.quality_log:
         log = io.load_quality_log(args.quality_log, args.units)
         rows_of: dict[str, list[int]] = defaultdict(list)
         for i, (c, _) in enumerate(log.gop_ids):
             rows_of[c].append(i)
-        for content in sorted(rows_of):
-            rows = rows_of[content]
+        for content, rows in rows_of.items():
             for k, res in enumerate(log.resolutions):
-                samples = []
                 for j, b in enumerate(log.rungs):
                     col = log.scores[rows, j, k]
-                    if np.isnan(col).all():
-                        continue
-                    samples.append((b, float(np.nanmean(col))))
-                if len(samples) >= 2:
-                    curves[content][res] = RDCurve.from_samples(res, samples)
+                    if not np.isnan(col).all():
+                        grouped[(content, res)].append((b, float(np.nanmean(col))))
     else:
-        points = io.load_scored_points(args.scored_points, args.units)
-        column = args.column
-        grouped: dict[tuple[str, tuple[int, int]], list] = defaultdict(list)
-        for p in points:
-            grouped[(p.content_id, p.resolution)].append((p.bitrate_kbps, getattr(p, column)))
-        for (content, res), samples in sorted(grouped.items()):
+        for p in io.load_scored_points(args.scored_points, args.units):
+            grouped[(p.content_id, p.resolution)].append((p.bitrate_kbps, getattr(p, args.column)))
+    curves: dict[str, dict[tuple[int, int], RDCurve]] = defaultdict(dict)
+    for (content, res), samples in sorted(grouped.items()):
+        if len(samples) >= 2:
             curves[content][res] = RDCurve.from_samples(res, samples)
     return curves
 
@@ -129,10 +134,12 @@ def cmd_extract_features(args) -> int:
     out.parent.mkdir(parents=True, exist_ok=True)
     io.write_feature_log(out, content_id, rows)
     print(f"wrote {len(rows)} GOP rows to {out}")
-    if diag.leading_garbage_bytes or diag.forbidden_bit_violations or diag.truncated_final:
+    if any(asdict(diag).values()):
         print(
             f"diagnostics: leading_garbage={diag.leading_garbage_bytes} "
-            f"forbidden_bit={diag.forbidden_bit_violations} truncated_final={diag.truncated_final}"
+            f"forbidden_bit={diag.forbidden_bit_violations} truncated_final={diag.truncated_final} "
+            f"slices_before_first_idr={diag.slices_before_first_idr} unparsed_units={diag.unparsed_units} "
+            f"gop_length_mismatches={diag.gop_length_mismatches}"
         )
     return 0
 
@@ -161,6 +168,7 @@ def cmd_crossover(args) -> int:
     from .rdmodel import MIN_FIT_POINTS, find_crossover, fit_logistic
 
     curves = _mean_rd_curves(args)
+    pairs = _parse_pairs(args.pair)
 
     @functools.cache  # a resolution shared by two pairs is fitted once
     def fitted(content, res):
@@ -169,8 +177,7 @@ def cmd_crossover(args) -> int:
     results = []
     for content in sorted(curves):
         res_list = sorted(curves[content], key=_res_key)
-        pairs = [_parse_pair(p) for p in args.pair.split(",")] if args.pair else list(zip(res_list, res_list[1:]))
-        for lo_res, hi_res in pairs:
+        for lo_res, hi_res in pairs or zip(res_list, res_list[1:]):
             if lo_res not in curves[content] or hi_res not in curves[content]:
                 continue
             lo_curve = curves[content][lo_res]
@@ -203,8 +210,7 @@ def cmd_bench_rcql(args) -> int:
     from .rcql import build_report
 
     points = io.load_scored_points(args.scored_points, args.units)
-    pairs = [_parse_pair(p) for p in args.pairs.split(",")] if args.pairs else None
-    report = build_report(points, pairs=pairs, tie_eps=args.tie_eps)
+    report = build_report(points, pairs=_parse_pairs(args.pairs), tie_eps=args.tie_eps)
     out = Path(args.out)
     io.write_json(out / "rcql_report.json", report.to_dict())
     io.write_rcql_csv(out / "rcql_rows.csv", out / "rcql_pairs.csv", report)
@@ -272,7 +278,7 @@ def cmd_simulate(args) -> int:
     from .drs import simulate, trace_rd_points
     from .rdmodel import MIN_FIT_POINTS, fit_logistic
 
-    ladder = io.load_ladder_or_solution(args.ladder, args.units)
+    ladder = io.load_ladder(args.ladder, args.units)
     trace = simulate(log, ladder, granularity_gops=args.granularity)
     out = Path(args.out)
     _write_trace_outputs(out, "trace", trace)
@@ -287,7 +293,7 @@ def cmd_simulate(args) -> int:
         io.write_json(out / "rd_fit.json", asdict(fit_logistic(drs_curve)))
 
     if args.baseline:
-        baseline_ladder = io.load_ladder_or_solution(args.baseline, args.units)
+        baseline_ladder = io.load_ladder(args.baseline, args.units)
         baseline_trace = simulate(log, baseline_ladder, granularity_gops=args.granularity)
         _write_trace_outputs(out, "baseline_trace", baseline_trace)
         _write_bd_and_gains(out, baseline_trace, trace)
@@ -327,14 +333,14 @@ def cmd_report(args) -> int:
 def cmd_train(args) -> int:
     import numpy as np
 
-    from .vqm import _labeled_matrix, _train_matrix, feature_importance, model_to_dict, predict_batch
+    from .vqm import _labeled_matrix, _train_matrix, feature_importance, predict_batch, save_model
 
     records, schema = io.load_feature_log(args.features, args.units)
     X, y, _ = _labeled_matrix(records, schema)
     model = _train_matrix(X, y, schema, _hyperparams(args), args.seed, _base_features(args))
     train_rmse = float(np.sqrt(np.mean((predict_batch(model, X) - y) ** 2)))
     out = Path(args.out)
-    io.write_json(out / "model.json", model_to_dict(model))
+    save_model(model, out / "model.json")
     io.write_json(
         out / "training_summary.json",
         {
@@ -480,7 +486,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = command("select-ladder", cmd_select_ladder, "optimize the augmented-ladder representation set", log, units, out)
     p.add_argument("--k", type=int, required=True, help="max total representations")
-    p.add_argument("--candidates", default=None, help="candidate ladder JSON (default: all log pairs)")
+    p.add_argument("--candidates", default=None, help="candidate ladder or solution JSON (default: all log pairs)")
     p.add_argument("--bandwidth-samples", default=None, help="file with one session bandwidth per line")
     p.add_argument("--weights", default=None, help="JSON {bitrate: weight}")
     p.add_argument(
@@ -490,7 +496,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = command("simulate", cmd_simulate, "replay switching decisions over a quality log", log, units, out)
     p.add_argument("--ladder", required=True, help="ladder or solution JSON")
-    p.add_argument("--baseline", default=None, help="baseline ladder JSON for BD/gain reporting")
+    p.add_argument("--baseline", default=None, help="baseline ladder or solution JSON for BD/gain reporting")
     p.add_argument("--granularity", type=int, default=1, help="decision window in GOPs")
 
     command("train", cmd_train, "train the quality model on a labeled feature log", model, units, out)

@@ -63,13 +63,8 @@ class DrsTrace:
 
 def _ladder_map(ladder, log: QualityLog) -> dict[float, list[Resolution]]:
     if isinstance(ladder, LadderSolution):
-        raw = ladder.rung_map()
-    elif isinstance(ladder, dict):
-        raw = {float(b): list(rs) for b, rs in ladder.items()}
-    else:
-        raw = {}
-        for b, rs in ladder:
-            raw.setdefault(float(b), []).extend(rs if isinstance(rs, list) else [rs])
+        ladder = ladder.rung_map()
+    raw = {float(b): list(rs) for b, rs in ladder.items()}
     out: dict[float, list[Resolution]] = {}
     for b in log.rungs:
         if b not in raw or not raw[b]:
@@ -79,7 +74,8 @@ def _ladder_map(ladder, log: QualityLog) -> dict[float, list[Resolution]]:
 
 
 def simulate(log: QualityLog, ladder, granularity_gops: int = 1) -> DrsTrace:
-    """Replay switching decisions over the log.
+    """Replay switching decisions over the log; ``ladder`` is a
+    ``{bitrate: [resolution, ...]}`` mapping or a ``LadderSolution``.
 
     For every window of ``granularity_gops`` GOPs and every rung, the
     resolution with the highest window-summed score among the rung's

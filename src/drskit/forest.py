@@ -40,8 +40,9 @@ class TreeParams:
             raise InvalidHyperparameter(f"max_depth must be >= 0 or None, got {self.max_depth}")
         if self.min_leaf < 1:
             raise InvalidHyperparameter(f"min_leaf must be >= 1, got {self.min_leaf}")
-        if isinstance(self.feature_subsample, float) and not np.isfinite(self.feature_subsample):
-            raise InvalidHyperparameter(f"feature_subsample must be finite, got {self.feature_subsample}")
+        fs = self.feature_subsample  # a number must be > 0, so an int >= 1
+        if (isinstance(fs, str) and fs not in ("sqrt", "all")) or (isinstance(fs, (int, float)) and not 0 < fs < np.inf):
+            raise InvalidHyperparameter(f"feature_subsample must be sqrt, all or a finite number > 0, got {fs!r}")
 
     def mtry(self, n_features: int) -> int:
         fs = self.feature_subsample
@@ -105,6 +106,18 @@ class RegressionTree:
         t.right = np.asarray(d["right"], dtype=np.int64)
         t.value = np.asarray(d["value"], dtype=float)
         t.gains = np.zeros(n_features)
+        size = t.feature.size
+        for name in ("left", "right", "threshold", "value"):
+            if getattr(t, name).size != size:
+                raise ValueError(f"a tree's {name!r} array and its 'feature' array differ in length")
+        # Node ids are assigned depth-first, so a split node's children
+        # come after it and inside the tree; a tree read from a file that
+        # breaks this would walk out of it, or forever.
+        own = np.arange(size)
+        bad_feature = (t.feature < 0) | (t.feature >= n_features)
+        bad_child = (t.left <= own) | (t.left >= size) | (t.right <= own) | (t.right >= size)
+        if np.any((bad_feature | bad_child) & (t.feature != _LEAF)):
+            raise ValueError("a split node names a feature or a child node outside its range")
         return t
 
 
@@ -140,10 +153,7 @@ class RegressionForest:
         roots = np.cumsum([0] + sizes[:-1])
 
         def concat(name):
-            parts = [getattr(t, name) for t in self.trees]
-            if [a.size for a in parts] != sizes:
-                raise ValueError(f"a tree's {name!r} array and its 'feature' array differ in length")
-            return np.concatenate(parts)
+            return np.concatenate([getattr(t, name) for t in self.trees])
 
         feature = concat("feature")
         is_leaf = feature == _LEAF
@@ -151,14 +161,6 @@ class RegressionForest:
         shift = np.repeat(roots, sizes)
         left = concat("left") + shift
         right = concat("right") + shift
-        # Node ids are assigned depth-first, so a split node's children
-        # come after it and inside its own tree; a tree read from a file
-        # that breaks this would walk into another tree, or forever.
-        end = np.repeat(roots + sizes, sizes)
-        bad_feature = (feature < 0) | (feature >= self.n_features)
-        bad_child = (left <= own) | (left >= end) | (right <= own) | (right >= end)
-        if np.any((bad_feature | bad_child) & ~is_leaf):
-            raise ValueError("a split node names a feature or a child node outside its range")
         # Global node ids; a leaf's two children are the leaf itself, so a
         # step from a leaf stays there whatever the comparison says.
         children = np.stack([np.where(is_leaf, own, left), np.where(is_leaf, own, right)], axis=1)

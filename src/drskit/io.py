@@ -14,8 +14,9 @@ Feature-log ingestion derives log_bitrate_kbps and log_pixels (natural
 logs) from the identity columns and prepends them to the schema, so the
 default base-model features are available without extra tooling.
 
-Ladder JSON: {"rungs": [{"bitrate_kbps": N, "resolutions": [[w, h], ...]}]}.
-Bitrates are stored in kbps; pass units="mbps" to convert on ingestion.
+Ladder JSON: {"rungs": [{"bitrate_kbps": N, "resolutions": [[w, h], ...]}]},
+or an optimizer solution (``solution_to_dict``'s document).  Bitrates are
+stored in kbps; pass units="mbps" to convert a ladder's on ingestion.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .errors import CsvSchemaError, InputError
 
 if TYPE_CHECKING:
     from .curves import ScoredPoint
-    from .ladder import LadderSolution, ProbabilityTable, QualityLog, _FirstSeen  # ladder needs numpy; see __getattr__
+    from .ladder import LadderSolution, ProbabilityTable, QualityLog, _FirstSeen  # ladder needs numpy
     from .rcql import RcqlReport  # only bench-rcql loads rcql
     from .vqm import FeatureSchema, GopRecord  # only the feature-log commands load vqm
 
@@ -57,7 +58,6 @@ __all__ = [
     "load_ladder",
     "save_ladder",
     "ladder_entries",
-    "load_ladder_or_solution",
     "solution_to_dict",
     "solution_from_dict",
     "load_weights",
@@ -69,12 +69,6 @@ __all__ = [
     "write_json",
     "write_probability_csv",
     "write_rcql_csv",
-    "trace_to_dict",
-    "write_trace_files",
-    "write_trace_json",
-    "trace_from_dict",
-    "load_trace",
-    "write_trace_csv",
     "write_histogram_csv",
     "write_cv_rows_csv",
 ]
@@ -424,7 +418,9 @@ def _bitrate(value, scale: float) -> float:
 
 
 @_json_fields
-def _parse_rungs(doc: dict, units: str) -> dict[float, list[tuple[int, int]]]:
+def _parse_ladder(doc, units: str) -> dict[float, list[tuple[int, int]]]:
+    if isinstance(doc, dict) and "selected" in doc:
+        return solution_from_dict(doc)
     scale = unit_scale(units)
     if "rungs" not in doc:
         raise InputError("ladder JSON must contain a 'rungs' list")
@@ -440,10 +436,6 @@ def _parse_rungs(doc: dict, units: str) -> dict[float, list[tuple[int, int]]]:
     if not out:
         raise InputError("ladder JSON lists no rungs")
     return out
-
-
-def load_ladder(path, units: str = "kbps") -> dict[float, list[tuple[int, int]]]:
-    return _load_json(path, _parse_rungs, units)
 
 
 def save_ladder(path, ladder: dict[float, list[tuple[int, int]]]) -> None:
@@ -476,15 +468,10 @@ def solution_from_dict(doc: dict) -> dict[float, list[tuple[int, int]]]:
     return out
 
 
-def _parse_ladder_or_solution(doc, units: str) -> dict[float, list[tuple[int, int]]]:
-    if isinstance(doc, dict) and "selected" in doc:
-        return solution_from_dict(doc)
-    return _parse_rungs(doc, units)
-
-
-def load_ladder_or_solution(path, units: str = "kbps") -> dict[float, list[tuple[int, int]]]:
-    """Accept either a ladder document or an optimizer solution."""
-    return _load_json(path, _parse_ladder_or_solution, units)
+def load_ladder(path, units: str = "kbps") -> dict[float, list[tuple[int, int]]]:
+    """Read a ladder document or an optimizer solution.  ``units`` converts
+    a ladder's bitrates; a solution's are kbps, as the optimizer wrote them."""
+    return _load_json(path, _parse_ladder, units)
 
 
 @_json_fields
@@ -586,23 +573,16 @@ def write_rcql_csv(rows_path, pairs_path, report: RcqlReport) -> None:
     _write_csv(pairs_path, ["pair", "metric", "value"], rows)
 
 
-# Names this module resolves on first use, by the module that defines
-# them.  The trace readers and writers live in ``drskit.trace_io``, which
-# only the commands that use traces load; the ladder records need numpy.
-_LAZY_NAMES = {
-    **dict.fromkeys(
-        ("trace_to_dict", "write_trace_files", "write_trace_json", "trace_from_dict", "load_trace", "write_trace_csv"),
-        "trace_io",
-    ),
-    **dict.fromkeys(("LadderSolution", "ProbabilityTable", "QualityLog"), "ladder"),
-}
+# Names of ``drskit.trace_io`` (which only the commands that use traces
+# load) that this module resolves on first use, only because
+# perfbench/tracer.py wraps them here by name.
+_TRACE_NAMES = ("trace_to_dict", "write_trace_csv")
 
 
 def __getattr__(name: str):
-    if name not in _LAZY_NAMES:
+    if name not in _TRACE_NAMES:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    module = importlib.import_module(f".{_LAZY_NAMES[name]}", __package__)
-    value = globals()[name] = getattr(module, name)
+    value = globals()[name] = getattr(importlib.import_module(".trace_io", __package__), name)
     return value
 
 

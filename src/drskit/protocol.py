@@ -59,9 +59,6 @@ class CvResult:
     per_content: dict[str, dict[str, float]]
     aggregate: dict[str, float]
 
-    def metric(self, name: str) -> float:
-        return self.aggregate[name]
-
 
 def _content_srocc(labels: np.ndarray, preds: np.ndarray) -> float:
     if labels.size < 3:

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .corr import pearson, spearman
-from .curves import ScoredPoint
+from .curves import RDCurve, ScoredPoint
 from .errors import (
     DegenerateInput,
     InvalidRange,
@@ -40,14 +40,12 @@ from .rdmodel import (
     MIN_FIT_POINTS,
     CrossOverResult,
     LogisticParams,
-    RDCurve,
     find_crossover,
     fit_logistic,
     sign_flips,
 )
 
 __all__ = [
-    "ScoredPoint",
     "RcqlReport",
     "PairContentRow",
     "delta_bitrate",
@@ -137,7 +135,7 @@ def rcql_s(
     if a == b:
         return 0.0
 
-    cuts = [a] + _crossings_between(low.evaluate, high.evaluate, a, b) + [b]
+    cuts = [a] + _crossings_between(low, high, a, b) + [b]
     total = 0.0
     for lo, hi in zip(cuts, cuts[1:]):
         total += abs((high.beta2 - low.beta2) * (hi - lo) + _rise_integral(high, lo, hi) - _rise_integral(low, lo, hi))

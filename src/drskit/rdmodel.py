@@ -10,8 +10,8 @@ continuous models are fitted on top of them:
   which interpolates the samples exactly and is the standard substrate
   for Bjontegaard-style integrals.
 
-The samples and the interpolant are defined in :mod:`drskit.curves`,
-which needs numpy only, and re-exported here.
+The samples and the interpolant live in :mod:`drskit.curves`, which
+needs numpy only.
 
 :func:`find_crossover` locates the bitrate where one fitted curve
 overtakes another; everything downstream (cross-over benchmarking,
@@ -25,14 +25,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import PchipCurve, RDCurve, RDPoint, fit_pchip, pchip_from_arrays
+from .curves import RDCurve
 from .errors import InvalidRange, NonFinite, NotEvaluable, TooFewPoints
 
 __all__ = [
-    "RDPoint",
-    "RDCurve",
     "LogisticParams",
-    "PchipCurve",
     "CrossOverResult",
     "STATUS_FOUND",
     "STATUS_NONE",
@@ -41,7 +38,6 @@ __all__ = [
     "BISECT_TOL_KBPS",
     "fit_logistic",
     "eval_logistic",
-    "fit_pchip",
     "find_crossover",
 ]
 
@@ -96,6 +92,8 @@ class LogisticParams:
 
     def evaluate(self, bitrate_kbps):
         return eval_logistic(self, bitrate_kbps)
+
+    __call__ = evaluate
 
 
 def _expit(t):
@@ -354,15 +352,6 @@ class CrossOverResult:
         return self.bitrate_kbps is not None
 
 
-def _as_evaluator(obj):
-    if callable(obj):
-        return obj
-    ev = getattr(obj, "evaluate", None)
-    if ev is not None:
-        return ev
-    raise NotEvaluable(f"object of type {type(obj).__name__} is not evaluable as a curve")
-
-
 def sign_flips(signs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Brackets of sign changes in a sampled ``np.sign`` array.
 
@@ -388,27 +377,29 @@ def find_crossover(
 ) -> CrossOverResult:
     """Locate where ``high``'s quality overtakes ``low``'s.
 
-    Both arguments may be fitted parameter sets, interpolants, or plain
-    callables of bitrate.  The difference is scanned on a uniform grid to
-    bracket sign changes, then each bracket is narrowed by bisection to a
-    width of ``BISECT_TOL_KBPS``.  Touching without crossing, or an
+    Both arguments are curves: anything called with bitrates, such as
+    fitted parameter sets, interpolants or plain functions.  The
+    difference is scanned on a uniform grid to bracket sign changes, then
+    each bracket is narrowed by bisection to a width of
+    ``BISECT_TOL_KBPS``.  Touching without crossing, or an
     identically-zero difference, yields status ``none``.
     """
     lo, hi = float(search_range[0]), float(search_range[1])
     if not (math.isfinite(lo) and math.isfinite(hi)) or not lo < hi or lo <= 0:
         raise InvalidRange(f"invalid search range [{search_range[0]}, {search_range[1]}]")
 
-    f_low = _as_evaluator(low)
-    f_high = _as_evaluator(high)
+    for curve in (low, high):
+        if not callable(curve):
+            raise NotEvaluable(f"object of type {type(curve).__name__} is not evaluable as a curve")
 
     grid = np.linspace(lo, hi, scan_samples)
-    diff = np.asarray(f_high(grid), dtype=float) - np.asarray(f_low(grid), dtype=float)
+    diff = np.asarray(high(grid), dtype=float) - np.asarray(low(grid), dtype=float)
     a_idx, b_idx = sign_flips(np.sign(diff))
     if a_idx.size == 0:
         return CrossOverResult(None, low_label, high_label, STATUS_NONE, lo, hi, 0)
 
     def g(x):
-        return float(f_high(x)) - float(f_low(x))
+        return float(high(x)) - float(low(x))
 
     a, b = grid[a_idx[0]], grid[b_idx[0]]
     ga = g(a)

@@ -2,7 +2,7 @@
 ``report`` reads, and the trace CSV written beside it.
 
 Only those two commands touch traces, so no other command loads this
-module; ``drskit.io`` gives its public names on first use.
+module.
 """
 
 from __future__ import annotations
@@ -24,13 +24,12 @@ from .io import _json_fields, _load_json
 __all__ = [
     "trace_to_dict",
     "write_trace_files",
-    "write_trace_json",
     "trace_from_dict",
     "load_trace",
     "write_trace_csv",
 ]
 
-# write_trace_json's layout: the header keys, the text between the header
+# The trace JSON's layout: the header keys, the text between the header
 # and the first selection, and the text after the last one.
 _TRACE_HEADER_KEYS = {"flips", "granularity_gops", "n_gops", "per_rung_mean_quality", "resolutions", "rungs"}
 _SELECTIONS_START = ',\n  "selections": [\n'
@@ -146,11 +145,6 @@ def write_trace_files(trace, json_path=None, csv_path=None) -> None:
                 csv_fh.write("".join(_selection_parts(False, rung_csv, gop_csv, res_csv, res_k, scores, "\r\n")))
 
 
-def write_trace_json(path, trace) -> None:
-    """Write the bytes ``write_json(path, trace_to_dict(trace))`` writes."""
-    write_trace_files(trace, json_path=path)
-
-
 def write_trace_csv(path, trace) -> None:
     """Write the trace CSV: content_id, gop_index, bitrate_kbps, width,
     height, score, one row per selection."""
@@ -214,7 +208,7 @@ def trace_from_dict(doc: dict):
 def load_trace(path):
     """Read a trace JSON: a document with ``trace_to_dict``'s keys.
 
-    A file laid out exactly as ``write_trace_json`` writes it is read
+    A file laid out exactly as ``write_trace_files`` writes it is read
     without building a dict per selection; any other file is decoded by
     ``json`` and rebuilt by ``trace_from_dict``, which raises every
     error."""
@@ -223,7 +217,7 @@ def load_trace(path):
 
 
 def _read_trace_layout(path):
-    """The trace in a file laid out exactly as ``write_trace_json`` writes
+    """The trace in a file laid out exactly as ``write_trace_files`` writes
     it, or None for any other file.
 
     The header must be the six keys of ``_trace_header`` as
@@ -278,7 +272,7 @@ def _read_trace_layout(path):
 
 
 class _SelectionLines:
-    """Reads the lines of whole GOPs' selections in ``write_trace_json``'s
+    """Reads the lines of whole GOPs' selections in ``write_trace_files``'s
     layout, for one trace header.  A selection is ten lines::
 
             {

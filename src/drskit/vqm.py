@@ -20,7 +20,6 @@ from .io import _json_fields, _load_json, write_json
 __all__ = [
     "FeatureSchema",
     "GopRecord",
-    "Hyperparams",
     "ForestModel",
     "DEFAULT_BASE_FEATURES",
     "SCORE_RANGE",
@@ -103,11 +102,6 @@ class GopRecord:
             tuple(self.features[i] for i in idx),
             self.label_jod,
         )
-
-
-# The residual forest's parameters, under the name the model API has
-# always used.
-Hyperparams = TreeParams
 
 
 @dataclass(frozen=True, eq=False)

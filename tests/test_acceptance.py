@@ -25,9 +25,11 @@ from drskit.drs import ManifestEntry, bd_rate, filter_manifest, simulate, trace_
 from drskit.errors import ToolkitError
 from drskit.ladder import LadderProblem, QualityLog, optimize_ladder_exhaustive, optimize_ladder_greedy
 from drskit.protocol import CvConfig, cross_validate, greedy_feature_selection
-from drskit.rcql import ScoredPoint, build_report
-from drskit.rdmodel import RDCurve, eval_logistic, find_crossover, fit_logistic
-from drskit.vqm import FeatureSchema, GopRecord, Hyperparams, model_to_dict, train
+from drskit.curves import RDCurve, ScoredPoint
+from drskit.forest import TreeParams
+from drskit.rcql import build_report
+from drskit.rdmodel import eval_logistic, find_crossover, fit_logistic
+from drskit.vqm import FeatureSchema, GopRecord, model_to_dict, train
 from test_ladder import ladder_objective
 
 DATA = Path(__file__).parent / "data"
@@ -323,7 +325,7 @@ def test_criterion_7_vqm_protocol_integrity(capsys):
     with criterion(capsys, 7, "content-split CV integrity, GFS signal pickup, reproducibility"):
         rng = np.random.default_rng(707)
         records, schema = _protocol_records(rng)
-        hp = Hyperparams(n_trees=10, max_depth=8)
+        hp = TreeParams(n_trees=10, max_depth=8)
 
         # 50 runs of 5-fold content-split CV; the leakage guard raising
         # InvariantError would fail the test.
@@ -338,7 +340,7 @@ def test_criterion_7_vqm_protocol_integrity(capsys):
                 rep_records,
                 rep_schema,
                 CvConfig(folds=3, runs=1, seed=rep),
-                hyperparams=Hyperparams(n_trees=8, max_depth=8),
+                hyperparams=TreeParams(n_trees=8, max_depth=8),
                 base_features=(),
                 max_features=1,
             )

@@ -1,7 +1,10 @@
 import argparse
 import csv
+import importlib
+import inspect
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 import warnings
@@ -11,7 +14,7 @@ import numpy as np
 import pytest
 
 from avcgen import simple_gop_stream
-from drskit import io
+from drskit import io, trace_io
 from drskit.cli import main
 from drskit.drs import simulate
 from drskit.rcql import build_report
@@ -96,6 +99,13 @@ class TestExtractFeatures:
         assert "error: MalformedSyntax" in err
         assert "Traceback" not in err
 
+    def test_gop_length_mismatch_is_reported(self, tmp_path, capsys):
+        # --gop-seconds feeds only this counter: a 61-frame GOP at 60 fps is not 1 s long.
+        stream = tmp_path / "clip.264"
+        stream.write_bytes(simple_gop_stream(n_gops=1, p_per_gop=60, nal_bytes_each=100))
+        assert run_cli("extract-features", stream, "--fps", 60, "--out", tmp_path / "features.csv") == 0
+        assert "gop_length_mismatches=1" in capsys.readouterr().out
+
     def test_empty_file(self, tmp_path, capsys):
         stream = tmp_path / "empty.264"
         stream.write_bytes(b"")
@@ -143,6 +153,15 @@ class TestBenchRcql:
         assert run_cli("bench-rcql", "--scored-points", points_csv, "--tie-eps", tie_eps, "--out", tmp_path / "o") == 2
         err = capsys.readouterr().err
         assert "error: InvalidRange" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("pairs", ["1280x720:1920x1080,1920x1080:1280x720", "1280x720:1280x720"])
+    def test_repeated_or_self_pair_exits_2(self, tmp_path, capsys, pairs):
+        points_csv = tmp_path / "scores.csv"
+        write_scored_points(points_csv)
+        assert run_cli("bench-rcql", "--scored-points", points_csv, "--pairs", pairs, "--out", tmp_path / "o") == 2
+        err = capsys.readouterr().err
+        assert "error: InputError" in err
         assert "Traceback" not in err
 
     def test_schema_error_reports_row(self, tmp_path, capsys):
@@ -243,6 +262,30 @@ class TestFitAndCrossover:
         assert run_cli("crossover", "--scored-points", points_csv, "--out", tmp_path / "xo") == 2
         assert "no resolution pair had two fittable curves" in capsys.readouterr().err
 
+    def test_single_sample_group_has_no_curve(self, tmp_path):
+        # As in the quality-log branch, a (content, resolution) group of
+        # one sample is dropped, and the other groups' outputs stay as they were.
+        points_csv = tmp_path / "scores.csv"
+        write_scored_points(points_csv)
+        stray_csv = tmp_path / "stray.csv"
+        stray_csv.write_text(points_csv.read_text() + "a,640x360,1000.0,5.0,5.0\n")
+        for command, name in (("fit", "fits.json"), ("crossover", "crossovers.json")):
+            docs = []
+            for k, path in enumerate((points_csv, stray_csv)):
+                out = tmp_path / f"{command}{k}"
+                assert run_cli(command, "--scored-points", path, "--out", out) == 0
+                docs.append((out / name).read_bytes())
+            assert docs[0] == docs[1]
+
+    @pytest.mark.parametrize("pairs", ["1280x720:1920x1080,1920x1080:1280x720", "1280x720:1280x720"])
+    def test_crossover_repeated_or_self_pair_exits_2(self, tmp_path, capsys, pairs):
+        points_csv = tmp_path / "scores.csv"
+        write_scored_points(points_csv)
+        assert run_cli("crossover", "--scored-points", points_csv, "--pair", pairs, "--out", tmp_path / "xo") == 2
+        err = capsys.readouterr().err
+        assert "error: InputError" in err
+        assert "Traceback" not in err
+
     def test_crossover_pair_order_is_irrelevant(self, tmp_path):
         # Equal pixel counts: the narrower resolution is the lower curve,
         # whichever way round the pair is written.
@@ -289,6 +332,17 @@ class TestSelectLadder:
         for step in doc["trace"]:
             assert set(step) == {"bitrate_kbps", "resolution", "gain", "objective"}
         assert (out / "ladder.json").exists()
+
+    def test_candidates_accept_a_solution(self, tmp_path):
+        log = DATA / "synthetic_quality_log.csv"
+        first = tmp_path / "first"
+        assert run_cli("select-ladder", "--log", log, "--k", 12, "--out", first) == 0
+        outputs = []
+        for name in ("ladder_solution.json", "ladder.json"):
+            out = tmp_path / name
+            assert run_cli("select-ladder", "--log", log, "--candidates", first / name, "--k", 10, "--out", out) == 0
+            outputs.append([(out / f).read_bytes() for f in ("ladder_solution.json", "ladder.json")])
+        assert outputs[0] == outputs[1]
 
     def test_infeasible_k_exit_code(self, tmp_path, capsys):
         code = run_cli(
@@ -370,7 +424,7 @@ class TestSimulate:
         ladder = io.load_ladder(DATA / "dynamic_ladder.json")
         trace = simulate(log, ladder, granularity_gops=1)
         cli_doc = json.loads((out / "trace.json").read_text())
-        assert cli_doc == json.loads(json.dumps(io.trace_to_dict(trace)))
+        assert cli_doc == json.loads(json.dumps(trace_io.trace_to_dict(trace)))
 
     @pytest.mark.parametrize("granularity", [25, 10**6, 10**21])
     def test_window_wider_than_log_is_one_window(self, tmp_path, granularity):
@@ -492,6 +546,7 @@ class TestModelCommands:
             ("--trees", "0"),
             ("--feature-subsample", "nan"),
             ("--feature-subsample", "inf"),
+            ("--feature-subsample", "0"),
         ],
         ids=lambda o: " ".join(o),
     )
@@ -669,7 +724,7 @@ SUBCOMMANDS = [
 # Every public name the package exported when it imported all submodules.
 PACKAGE_EXPORTS = {
     "BdResult", "CrossOverResult", "CvConfig", "DrsTrace", "FeatureSchema", "ForestModel", "GopRecord",
-    "Hyperparams", "LadderProblem", "LadderSolution", "LogisticParams", "PchipCurve", "QualityLog", "RDCurve",
+    "LadderProblem", "LadderSolution", "LogisticParams", "PchipCurve", "QualityLog", "RDCurve",
     "RDPoint", "RcqlReport", "ScoredPoint", "avc", "bd_rate", "best_resolution_probability", "build_report",
     "correlations", "cross_validate", "cumulative_probability", "delta_bitrate", "drs", "errors",
     "eval_logistic", "feature_importance", "filter_manifest", "find_crossover", "fit_logistic", "fit_pchip",
@@ -903,6 +958,26 @@ class TestImportBudget:
                 assert value is getattr(importlib.import_module(f"drskit.{drskit._EXPORTS[name]}"), name)
         with pytest.raises(AttributeError):
             drskit.no_such_name
+
+
+class TestOneHomePerName:
+    def test_public_names_are_listed_only_where_defined(self):
+        """Each class or function in a module's ``__all__`` is defined in
+        that module, and every other name listed there is bound in it."""
+        import drskit
+
+        stray = []
+        for info in pkgutil.walk_packages(drskit.__path__, "drskit."):
+            if info.ispkg:
+                continue
+            bound = vars(importlib.import_module(info.name))
+            for name in bound.get("__all__", ()):
+                value = bound.get(name)
+                if name not in bound or (
+                    (inspect.isclass(value) or inspect.isfunction(value)) and value.__module__ != info.name
+                ):
+                    stray.append(f"{info.name}.{name}")
+        assert stray == []
 
 
 def write_wide_feature_csv(path, n_records, seed):

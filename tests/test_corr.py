@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from drskit import io
+from drskit import io, trace_io
 from drskit.corr import average_ranks, pearson, spearman
 from drskit.errors import DegenerateInput
 from drskit.protocol import _content_srocc
@@ -175,7 +175,7 @@ class TestCallersUnchanged:
                 assert correlations(s, rounded) == old_correlations(s, rounded)
 
     def test_correlations_on_golden_trace(self):
-        trace = io.load_trace(DATA / "golden_trace.json")
+        trace = trace_io.load_trace(DATA / "golden_trace.json")
         scores = trace.chosen_score.ravel()
         bitrates = np.tile(trace.rungs, trace.chosen_score.shape[0])
         chosen = trace.chosen_res.ravel()

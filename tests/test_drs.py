@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from drskit.curves import RDCurve
 from drskit.drs import (
     DrsTrace,
     ManifestEntry,
@@ -17,7 +18,6 @@ from drskit.drs import (
 )
 from drskit.errors import IncompleteLog, MismatchedTraces, MissingRung, NoOverlap, TooFewPoints
 from drskit.ladder import QualityLog
-from drskit.rdmodel import RDCurve
 
 R540 = (960, 540)
 R720 = (1280, 720)

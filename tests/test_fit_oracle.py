@@ -44,7 +44,8 @@ from scipy.optimize import least_squares
 from scipy.special import expit
 
 from drskit import rcql, rdmodel
-from drskit.rdmodel import RDCurve, fit_logistic
+from drskit.curves import RDCurve
+from drskit.rdmodel import fit_logistic
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 TABLE = Path(__file__).resolve().parent / "data" / "fit_oracle_rss.json"

@@ -6,9 +6,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from drskit import io
+from drskit import io, trace_io
 from drskit.drs import simulate
 from drskit.errors import CsvSchemaError, InputError
+from drskit.ladder import QualityLog
 
 DATA = Path(__file__).parent / "data"
 
@@ -70,13 +71,13 @@ class TestGcPausedDuringRead:
 
     def test_collector_paused_while_reading(self, monkeypatch):
         seen = []
-        real_from_columns = io.QualityLog.from_columns.__func__
+        real_from_columns = QualityLog.from_columns.__func__
 
         def spy(cls, *args):
             seen.append(gc.isenabled())
             return real_from_columns(cls, *args)
 
-        monkeypatch.setattr(io.QualityLog, "from_columns", classmethod(spy))
+        monkeypatch.setattr(QualityLog, "from_columns", classmethod(spy))
         assert gc.isenabled()
         io.load_quality_log(DATA / "synthetic_quality_log.csv")
         assert seen == [False]
@@ -176,7 +177,9 @@ class TestLadderJson:
                 }
             )
         )
-        assert io.load_ladder_or_solution(p) == {1000.0: [(960, 540), (1280, 720)]}
+        assert io.load_ladder(p) == {1000.0: [(960, 540), (1280, 720)]}
+        # A solution's bitrates are kbps, as the optimizer wrote them.
+        assert io.load_ladder(p, units="mbps") == {1000.0: [(960, 540), (1280, 720)]}
 
 
 class TestBadBitrates:
@@ -221,7 +224,7 @@ def fixture_trace(granularity_gops=1):
 class TestTraceJson:
     def test_round_trip(self):
         trace = fixture_trace(granularity_gops=2)
-        back = io.trace_from_dict(json.loads(json.dumps(io.trace_to_dict(trace))))
+        back = trace_io.trace_from_dict(json.loads(json.dumps(trace_io.trace_to_dict(trace))))
         assert back.rungs == trace.rungs
         assert back.resolutions == trace.resolutions
         assert back.gop_ids == trace.gop_ids
@@ -231,10 +234,10 @@ class TestTraceJson:
             assert getattr(back, name).dtype == getattr(trace, name).dtype
 
     def test_selection_count_mismatch(self):
-        doc = io.trace_to_dict(fixture_trace())
+        doc = trace_io.trace_to_dict(fixture_trace())
         doc["selections"].pop()
         with pytest.raises(InputError, match="selections"):
-            io.trace_from_dict(doc)
+            trace_io.trace_from_dict(doc)
 
 
 class TestBandwidthSamples:

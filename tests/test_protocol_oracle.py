@@ -28,7 +28,8 @@ from drskit.protocol import (
     cross_validate,
     greedy_feature_selection,
 )
-from drskit.vqm import DEFAULT_BASE_FEATURES, FeatureSchema, GopRecord, Hyperparams, predict_batch, train
+from drskit.forest import TreeParams
+from drskit.vqm import DEFAULT_BASE_FEATURES, FeatureSchema, GopRecord, predict_batch, train
 
 
 def oracle_content_srocc(labels, preds):
@@ -164,9 +165,9 @@ def seeded_records(seed, n_contents=6, unlabeled=0.2, const_content=False):
 
 
 HYPERPARAMS = [
-    Hyperparams(n_trees=3),
-    Hyperparams(n_trees=2, max_depth=None, min_leaf=1, feature_subsample="all", bootstrap=False),
-    Hyperparams(n_trees=4, max_depth=3, min_leaf=2, feature_subsample=0.5),
+    TreeParams(n_trees=3),
+    TreeParams(n_trees=2, max_depth=None, min_leaf=1, feature_subsample="all", bootstrap=False),
+    TreeParams(n_trees=4, max_depth=3, min_leaf=2, feature_subsample=0.5),
 ]
 BASE_FEATURES = [DEFAULT_BASE_FEATURES, ("noise1", "signal"), ()]
 
@@ -219,8 +220,8 @@ def test_unlabeled_rows_with_the_wrong_length_are_ignored():
     records = seeded_records(3)
     records.append(GopRecord("c99", 0, 1000.0, (1280, 720), (1.0, 2.0), None))
     cv = CvConfig(folds=3, runs=1, seed=0)
-    got = cross_validate(records, SCHEMA, cv, Hyperparams(n_trees=2))
-    want = oracle_cross_validate(records, SCHEMA, cv, Hyperparams(n_trees=2))
+    got = cross_validate(records, SCHEMA, cv, TreeParams(n_trees=2))
+    want = oracle_cross_validate(records, SCHEMA, cv, TreeParams(n_trees=2))
     assert bits(got) == bits(want)
     with pytest.raises(SchemaMismatch):
         cross_validate(records[:-1] + [dataclasses.replace(records[-1], label_jod=1.0)], SCHEMA, cv)

@@ -11,7 +11,6 @@ from scipy import integrate
 
 from drskit.errors import DegenerateInput, InvalidRange, MismatchedPair, NoComparablePairs, NotEvaluable
 from drskit.rcql import (
-    ScoredPoint,
     build_report,
     correlations,
     delta_bitrate,
@@ -20,7 +19,7 @@ from drskit.rcql import (
     rcql_s,
 )
 from drskit import rcql
-from drskit.curves import pchip_from_arrays
+from drskit.curves import ScoredPoint, pchip_from_arrays
 from drskit.rdmodel import STATUS_NONE, CrossOverResult, LogisticParams, eval_logistic, find_crossover
 
 LO = (1280, 720)

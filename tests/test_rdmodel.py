@@ -8,19 +8,17 @@ from hypothesis import strategies as st
 from scipy.interpolate import PchipInterpolator
 from scipy.special import expit
 
-from drskit.errors import InvalidRange, NonFinite, TooFewPoints
+from drskit.curves import RDCurve, RDPoint, fit_pchip
+from drskit.errors import InvalidRange, NonFinite, NotEvaluable, TooFewPoints
 from drskit.rdmodel import (
     STATUS_FOUND,
     STATUS_MULTIPLE,
     STATUS_NONE,
     LogisticParams,
-    RDCurve,
-    RDPoint,
     _expit,
     eval_logistic,
     find_crossover,
     fit_logistic,
-    fit_pchip,
     sign_flips,
 )
 
@@ -266,7 +264,7 @@ class TestFitPchip:
         assert mine.integrate(b, a) == pytest.approx(-float(ref.integrate(a, b)), rel=1e-10)
 
     def test_too_few_points(self):
-        from drskit.rdmodel import pchip_from_arrays
+        from drskit.curves import pchip_from_arrays
 
         with pytest.raises(TooFewPoints):
             pchip_from_arrays(np.array([1.0]), np.array([2.0]))
@@ -363,6 +361,15 @@ class TestFindCrossover:
         res = find_crossover(lambda x: 5.0, lambda x: 6.0, (1000.0, 2000.0))
         assert res.status == STATUS_NONE
         assert res.n_crossings == 0
+
+    def test_a_curve_is_anything_called_with_bitrates(self):
+        low = LogisticParams(8, 2, 600, 400, 0.0)
+        high = LogisticParams(9, 1, 900, 500, 0.0)
+        grid = np.linspace(1000.0, 10000.0, 7)
+        assert low(grid).tobytes() == low.evaluate(grid).tobytes()
+        assert find_crossover(low, high, (1000, 10000)) == find_crossover(low.evaluate, high.evaluate, (1000, 10000))
+        with pytest.raises(NotEvaluable):
+            find_crossover(low, curve_from(9, 1, 900, 500, [1000.0, 2000.0, 4000.0]), (1000, 10000))
 
     def test_invalid_range(self):
         p = LogisticParams(8, 2, 600, 400, 0.0)

@@ -4,7 +4,7 @@ The columnar quality-log reader, the vectorised ``simulate`` and the
 direct trace writers are checked against the per-record code they
 replaced, which is kept here as the oracle: the same logs, the same
 error texts, the same traces and the same bytes.  The trace reader for
-``write_trace_json``'s own layout is checked against ``json`` plus
+``write_trace_files``' own layout is checked against ``json`` plus
 ``trace_from_dict``, which reads every other file.
 """
 
@@ -123,7 +123,7 @@ def oracle_simulate(log: QualityLog, ladder, granularity_gops: int) -> DrsTrace:
 
 def oracle_trace_json(trace) -> str:
     """What ``io.write_json`` writes for ``trace_to_dict(trace)``."""
-    return json.dumps(io.trace_to_dict(trace), sort_keys=True, indent=2) + "\n"
+    return json.dumps(trace_io.trace_to_dict(trace), sort_keys=True, indent=2) + "\n"
 
 
 def oracle_write_trace_csv(path, trace) -> None:
@@ -137,7 +137,7 @@ def oracle_write_trace_csv(path, trace) -> None:
 
 
 def oracle_trace_from_dict(doc: dict) -> DrsTrace:
-    """``io.trace_from_dict`` one selection at a time, through
+    """``trace_io.trace_from_dict`` one selection at a time, through
     ``tuple.index``."""
 
     @io._json_fields
@@ -205,14 +205,14 @@ def same_trace_outcome(path: Path) -> None:
     """Read ``path`` with ``load_trace`` and with json alone: the same
     trace, or the same error."""
     try:
-        want = io._load_json(path, io.trace_from_dict)
+        want = io._load_json(path, trace_io.trace_from_dict)
     except InputError as exc:
         with pytest.raises(InputError) as got:
-            io.load_trace(path)
+            trace_io.load_trace(path)
         assert type(got.value) is type(exc)
         assert str(got.value) == str(exc)
     else:
-        assert_bitwise_same(io.load_trace(path), want)
+        assert_bitwise_same(trace_io.load_trace(path), want)
 
 
 def write_csv(path: Path, rows, blank_lines=()) -> Path:
@@ -747,15 +747,15 @@ class TestTraceWriters:
     def test_json_bytes(self, tmp_path, granularity):
         trace = unicode_trace(granularity)
         path = tmp_path / "out" / "trace.json"
-        io.write_trace_json(path, trace)
+        trace_io.write_trace_files(trace, json_path=path)
         assert path.read_bytes() == oracle_trace_json(trace).encode("utf-8")
-        io.write_json(tmp_path / "ref.json", io.trace_to_dict(trace))
+        io.write_json(tmp_path / "ref.json", trace_io.trace_to_dict(trace))
         assert path.read_bytes() == (tmp_path / "ref.json").read_bytes()
 
     @pytest.mark.parametrize("granularity", [1, 3])
     def test_csv_bytes(self, tmp_path, granularity):
         trace = unicode_trace(granularity)
-        io.write_trace_csv(tmp_path / "new.csv", trace)
+        trace_io.write_trace_csv(tmp_path / "new.csv", trace)
         oracle_write_trace_csv(tmp_path / "old.csv", trace)
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
@@ -763,17 +763,17 @@ class TestTraceWriters:
     @settings(max_examples=100, deadline=None)
     def test_any_trace(self, tmp_path_factory, trace):
         out = tmp_path_factory.mktemp("trace")
-        io.write_trace_json(out / "trace.json", trace)
+        trace_io.write_trace_files(trace, json_path=out / "trace.json")
         assert (out / "trace.json").read_text(encoding="utf-8") == oracle_trace_json(trace)
-        io.write_trace_csv(out / "new.csv", trace)
+        trace_io.write_trace_csv(out / "new.csv", trace)
         oracle_write_trace_csv(out / "old.csv", trace)
         assert (out / "new.csv").read_bytes() == (out / "old.csv").read_bytes()
-        io.write_trace_files(trace, out / "both.json", out / "both.csv")
+        trace_io.write_trace_files(trace, out / "both.json", out / "both.csv")
         assert (out / "both.json").read_bytes() == (out / "trace.json").read_bytes()
         assert (out / "both.csv").read_bytes() == (out / "old.csv").read_bytes()
         # Read back: the layout reader takes every file whose ids hold no quote.
         want = oracle_trace_from_dict(json.loads((out / "trace.json").read_text(encoding="utf-8")))
-        assert_bitwise_same(io.load_trace(out / "trace.json"), want)
+        assert_bitwise_same(trace_io.load_trace(out / "trace.json"), want)
         quoted = any('"' in content for content, _ in trace.gop_ids)
         assert (trace_io._read_trace_layout(out / "trace.json") is None) == quoted
 
@@ -784,7 +784,7 @@ class TestTraceWriters:
     @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_mutated_trace_reads_as_json_does(self, tmp_path, contents, data):
         trace = unicode_trace(2) if contents is None else unicode_trace(2, contents)
-        io.write_trace_json(tmp_path / "trace.json", trace)
+        trace_io.write_trace_files(trace, json_path=tmp_path / "trace.json")
         path = tmp_path / "mutated.json"
         path.write_bytes(data.draw(mutations((tmp_path / "trace.json").read_bytes())))
         same_trace_outcome(path)
@@ -819,13 +819,13 @@ class TestTraceWriters:
         ],
     )
     def test_other_layouts_read_through_json(self, tmp_path, rewrite):
-        io.write_trace_json(tmp_path / "trace.json", unicode_trace(2, ("naïve,clip", "中文", "plain")))
+        trace_io.write_trace_files(unicode_trace(2, ("naïve,clip", "中文", "plain")), json_path=tmp_path / "trace.json")
         text = (tmp_path / "trace.json").read_text(encoding="utf-8")
         path = tmp_path / "other.json"
         path.write_bytes(rewrite(text, json.loads(text)).encode("utf-8"))
         assert trace_io._read_trace_layout(tmp_path / "trace.json") is not None
         assert trace_io._read_trace_layout(path) is None
-        assert_bitwise_same(io.load_trace(path), oracle_trace_from_dict(json.loads(path.read_text(encoding="utf-8"))))
+        assert_bitwise_same(trace_io.load_trace(path), oracle_trace_from_dict(json.loads(path.read_text(encoding="utf-8"))))
 
     # Values that json decodes to another type: the file goes to json and
     # trace_from_dict, which convert or reject them.
@@ -835,7 +835,7 @@ class TestTraceWriters:
         ids=["null-score", "fractional-gop-index", "string-score"],
     )
     def test_values_of_other_types_read_as_json_does(self, tmp_path, pattern, value):
-        io.write_trace_json(tmp_path / "trace.json", unicode_trace(2, ("naïve,clip", "中文", "plain")))
+        trace_io.write_trace_files(unicode_trace(2, ("naïve,clip", "中文", "plain")), json_path=tmp_path / "trace.json")
         path = tmp_path / "other.json"
         text, n = re.subn(pattern, value, (tmp_path / "trace.json").read_text(encoding="utf-8"), count=1)
         path.write_text(text, encoding="utf-8")
@@ -856,18 +856,18 @@ class TestTraceWriters:
         ids=["open-brace", "open-bracket", "close-bracket", "missing-comma", "trailing-comma", "no-rungs"],
     )
     def test_broken_layout_fails_as_json_does(self, tmp_path, rewrite):
-        io.write_trace_json(tmp_path / "trace.json", unicode_trace(2, ("naïve,clip", "中文", "plain")))
+        trace_io.write_trace_files(unicode_trace(2, ("naïve,clip", "中文", "plain")), json_path=tmp_path / "trace.json")
         path = tmp_path / "broken.json"
         path.write_text(rewrite((tmp_path / "trace.json").read_text(encoding="utf-8")), encoding="utf-8")
         with pytest.raises(InputError):
-            io._load_json(path, io.trace_from_dict)
+            io._load_json(path, trace_io.trace_from_dict)
         same_trace_outcome(path)
 
     def test_ids_spanning_lines_read_through_json(self, tmp_path):
         # Quotes that pair up across id lines: as one list they decode to
         # one string per GOP, so only the per-line quote count sends the
         # file to json, which rejects it.
-        io.write_trace_json(tmp_path / "trace.json", unicode_trace(2, ("naïve,clip", "中文", "plain")))
+        trace_io.write_trace_files(unicode_trace(2, ("naïve,clip", "中文", "plain")), json_path=tmp_path / "trace.json")
         text = (tmp_path / "trace.json").read_text(encoding="utf-8")
         for gop, token in enumerate(['"a', 'b"', '"c","d"']):
             gop_line = f',\n      "gop_index": {gop},'
@@ -876,25 +876,25 @@ class TestTraceWriters:
         path.write_text(text, encoding="utf-8")
         assert trace_io._read_trace_layout(path) is None
         with pytest.raises(InputError, match="not valid JSON"):
-            io.load_trace(path)
+            trace_io.load_trace(path)
 
     def test_written_trace_never_reaches_json(self, tmp_path, monkeypatch):
         trace = unicode_trace(3, ("naïve,clip", "中文", "plain", "emoji🎬\n", "back\\slash"))
-        io.write_trace_json(tmp_path / "trace.json", trace)
+        trace_io.write_trace_files(trace, json_path=tmp_path / "trace.json")
 
         def refuse(*args, **kwargs):
             raise AssertionError("json fallback used")
 
         monkeypatch.setattr(trace_io, "_load_json", refuse)
-        back = io.load_trace(tmp_path / "trace.json")
+        back = trace_io.load_trace(tmp_path / "trace.json")
         assert back.gop_ids == trace.gop_ids
         assert_same_trace(back, trace)
 
     @given(raw_traces())
     @settings(max_examples=100, deadline=None)
     def test_reader_matches_per_selection_loop(self, trace):
-        doc = json.loads(json.dumps(io.trace_to_dict(trace)))
-        assert_bitwise_same(io.trace_from_dict(doc), oracle_trace_from_dict(doc))
+        doc = json.loads(json.dumps(trace_io.trace_to_dict(trace)))
+        assert_bitwise_same(trace_io.trace_from_dict(doc), oracle_trace_from_dict(doc))
 
     @pytest.mark.parametrize(
         "edit",
@@ -910,22 +910,22 @@ class TestTraceWriters:
         ],
     )
     def test_reader_errors_match(self, edit):
-        doc = json.loads(json.dumps(io.trace_to_dict(unicode_trace(1))))
+        doc = json.loads(json.dumps(trace_io.trace_to_dict(unicode_trace(1))))
         edit(doc)
         with pytest.raises(InputError):
             oracle_trace_from_dict(doc)
         with pytest.raises(InputError):
-            io.trace_from_dict(doc)
+            trace_io.trace_from_dict(doc)
 
     def test_repeated_resolution_reads_as_first(self):
-        doc = json.loads(json.dumps(io.trace_to_dict(unicode_trace(1))))
+        doc = json.loads(json.dumps(trace_io.trace_to_dict(unicode_trace(1))))
         doc["resolutions"].append(doc["resolutions"][0])
-        got, want = io.trace_from_dict(doc), oracle_trace_from_dict(doc)
+        got, want = trace_io.trace_from_dict(doc), oracle_trace_from_dict(doc)
         assert np.array_equal(got.chosen_res, want.chosen_res)
 
     def test_round_trip_through_reader(self, tmp_path):
         trace = unicode_trace(3)
-        io.write_trace_json(tmp_path / "trace.json", trace)
-        back = io.load_trace(tmp_path / "trace.json")
+        trace_io.write_trace_files(trace, json_path=tmp_path / "trace.json")
+        back = trace_io.load_trace(tmp_path / "trace.json")
         assert back.gop_ids == trace.gop_ids
         assert_same_trace(back, trace)

@@ -9,7 +9,6 @@ from drskit.protocol import CvConfig, cross_validate, greedy_feature_selection
 from drskit.vqm import (
     FeatureSchema,
     GopRecord,
-    Hyperparams,
     feature_importance,
     load_model,
     model_from_dict,
@@ -92,6 +91,11 @@ class TestForest:
             dict(min_leaf=0),
             dict(feature_subsample=float("nan")),
             dict(feature_subsample=float("-inf")),
+            dict(feature_subsample=0),
+            dict(feature_subsample=-3),
+            dict(feature_subsample=0.0),
+            dict(feature_subsample=-0.5),
+            dict(feature_subsample="half"),
         ],
     )
     def test_bad_params_are_input_errors(self, bad):
@@ -99,9 +103,24 @@ class TestForest:
             TreeParams(**bad)
 
     def test_boundary_params_are_accepted(self):
-        assert Hyperparams is TreeParams
-        for ok in (dict(n_trees=1, max_depth=0, min_leaf=1), dict(max_depth=None, feature_subsample=1.0)):
+        for ok in (
+            dict(n_trees=1, max_depth=0, min_leaf=1),
+            dict(max_depth=None, feature_subsample=1.0),
+            dict(feature_subsample=1),
+            dict(feature_subsample="all"),
+            dict(feature_subsample=None),
+        ):
             TreeParams(**ok)
+
+    def test_tree_from_a_document_checks_its_nodes(self):
+        # A split node that is its own child would make predict loop forever.
+        doc = {"feature": [0], "threshold": [0.0], "left": [0], "right": [0], "value": [1.0]}
+        with pytest.raises(ValueError, match="a child node outside its range"):
+            RegressionTree.from_dict(doc, n_features=1)
+        with pytest.raises(ValueError, match="'value' array and its 'feature' array differ in length"):
+            RegressionTree.from_dict({**doc, "feature": [-1], "value": []}, n_features=1)
+        leaf = RegressionTree.from_dict({**doc, "feature": [-1]}, n_features=1)
+        assert leaf.predict(np.zeros((2, 1))).tolist() == [1.0, 1.0]
 
     def test_no_feature_columns_is_an_input_error(self):
         y = np.arange(10.0)
@@ -124,14 +143,14 @@ class TestTrainPredict:
     def test_constant_labels(self):
         rng = np.random.default_rng(10)
         records, schema = make_records(3, 8, lambda s, n: 5.0, rng)
-        model = train(records, schema, Hyperparams(n_trees=10), seed=0)
+        model = train(records, schema, TreeParams(n_trees=10), seed=0)
         for r in records:
             assert predict(model, r.features) == pytest.approx(5.0, abs=1e-9)
 
     def test_affine_label_handled_by_base_alone(self):
         rng = np.random.default_rng(11)
         records, schema = make_records(3, 10, lambda s, n: 2.0 + 3.0 * s, rng)
-        model = train(records, schema, Hyperparams(n_trees=10), seed=0, base_features=("signal",))
+        model = train(records, schema, TreeParams(n_trees=10), seed=0, base_features=("signal",))
         X = np.array([r.features for r in records])
         y = np.array([r.label_jod for r in records])
         base_rmse = np.sqrt(np.mean((model.base_predict(X) - y) ** 2))
@@ -142,7 +161,7 @@ class TestTrainPredict:
     def test_memorization_through_model(self):
         rng = np.random.default_rng(12)
         records, schema = make_records(2, 12, lambda s, n: 10.0 * s, rng)
-        hp = Hyperparams(n_trees=1, max_depth=None, min_leaf=1, feature_subsample="all", bootstrap=False)
+        hp = TreeParams(n_trees=1, max_depth=None, min_leaf=1, feature_subsample="all", bootstrap=False)
         model = train(records, schema, hp, seed=0)
         for r in records:
             assert predict(model, r.features) == pytest.approx(r.label_jod, abs=1e-9)
@@ -150,15 +169,15 @@ class TestTrainPredict:
     def test_clamp(self):
         rng = np.random.default_rng(13)
         records, schema = make_records(2, 8, lambda s, n: 11.2, rng)
-        model = train(records, schema, Hyperparams(n_trees=5), seed=0)
+        model = train(records, schema, TreeParams(n_trees=5), seed=0)
         assert predict(model, records[0].features) == 10.0
-        low = train([r for r in records][:8], schema, Hyperparams(n_trees=5), seed=0)
+        low = train([r for r in records][:8], schema, TreeParams(n_trees=5), seed=0)
         assert 0.0 <= predict(low, records[0].features) <= 10.0
 
     def test_prediction_is_base_plus_tree_mean(self):
         rng = np.random.default_rng(14)
         records, schema = make_records(3, 10, lambda s, n: 3.0 + 4.0 * s + n[0], rng)
-        model = train(records, schema, Hyperparams(n_trees=7), seed=3)
+        model = train(records, schema, TreeParams(n_trees=7), seed=3)
         X = np.array([r.features for r in records])
         per_tree = np.stack([t.predict(X) for t in model.forest.trees])
         manual = model.base_predict(X) + per_tree.mean(axis=0)
@@ -183,8 +202,8 @@ class TestTrainPredict:
     def test_train_reproducible(self):
         rng = np.random.default_rng(15)
         records, schema = make_records(3, 10, lambda s, n: 5 * s + n[1], rng)
-        m1 = train(records, schema, Hyperparams(n_trees=9), seed=4)
-        m2 = train(records, schema, Hyperparams(n_trees=9), seed=4)
+        m1 = train(records, schema, TreeParams(n_trees=9), seed=4)
+        m2 = train(records, schema, TreeParams(n_trees=9), seed=4)
         assert model_to_dict(m1) == model_to_dict(m2)
 
 
@@ -192,7 +211,7 @@ class TestImportance:
     def test_planted_signal_dominates(self):
         rng = np.random.default_rng(20)
         records, schema = make_records(4, 20, lambda s, n: 8.0 * s, rng)
-        hp = Hyperparams(n_trees=30, feature_subsample="all")
+        hp = TreeParams(n_trees=30, feature_subsample="all")
         model = train(records, schema, hp, seed=0, base_features=())
         imp = feature_importance(model)
         assert imp["signal"] >= 0.9
@@ -200,7 +219,7 @@ class TestImportance:
     def test_importances_sum_to_one(self):
         rng = np.random.default_rng(21)
         records, schema = make_records(4, 15, lambda s, n: 3 * s + n[0], rng)
-        model = train(records, schema, Hyperparams(n_trees=20), seed=1)
+        model = train(records, schema, TreeParams(n_trees=20), seed=1)
         assert sum(feature_importance(model).values()) == pytest.approx(1.0, abs=1e-9)
 
 
@@ -208,7 +227,7 @@ class TestSerialization:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(30)
         records, schema = make_records(3, 10, lambda s, n: 4 * s + 2, rng)
-        model = train(records, schema, Hyperparams(n_trees=6), seed=8)
+        model = train(records, schema, TreeParams(n_trees=6), seed=8)
         path = tmp_path / "model.json"
         save_model(model, path)
         loaded = load_model(path)
@@ -219,7 +238,7 @@ class TestSerialization:
     def test_forest_dict_keeps_n_trees_beside_params(self):
         rng = np.random.default_rng(34)
         records, schema = make_records(2, 8, lambda s, n: s, rng)
-        doc = model_to_dict(train(records, schema, Hyperparams(n_trees=2, min_leaf=3), seed=0))["forest"]
+        doc = model_to_dict(train(records, schema, TreeParams(n_trees=2, min_leaf=3), seed=0))["forest"]
         assert doc["n_trees"] == 2 and len(doc["trees"]) == 2
         assert doc["params"] == {"max_depth": 12, "min_leaf": 3, "feature_subsample": "sqrt", "bootstrap": True}
         assert RegressionForest.from_dict(doc).params == TreeParams(n_trees=2, min_leaf=3)
@@ -230,7 +249,7 @@ class TestSerialization:
     def test_version_check(self):
         rng = np.random.default_rng(31)
         records, schema = make_records(2, 8, lambda s, n: s, rng)
-        doc = model_to_dict(train(records, schema, Hyperparams(n_trees=2), seed=0))
+        doc = model_to_dict(train(records, schema, TreeParams(n_trees=2), seed=0))
         doc["format_version"] = 99
         with pytest.raises(SchemaMismatch):
             model_from_dict(doc)
@@ -270,7 +289,7 @@ class TestSerialization:
     def test_bad_field_is_input_error(self, tmp_path, damage):
         rng = np.random.default_rng(33)
         records, schema = make_records(2, 8, lambda s, n: s, rng)
-        doc = model_to_dict(train(records, schema, Hyperparams(n_trees=2), seed=0))
+        doc = model_to_dict(train(records, schema, TreeParams(n_trees=2), seed=0))
         damage(doc)
         path = tmp_path / "model.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
@@ -281,7 +300,7 @@ class TestSerialization:
     def test_json_stable(self, tmp_path):
         rng = np.random.default_rng(32)
         records, schema = make_records(2, 8, lambda s, n: 2 * s, rng)
-        model = train(records, schema, Hyperparams(n_trees=3), seed=1)
+        model = train(records, schema, TreeParams(n_trees=3), seed=1)
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
         save_model(model, p1)
         save_model(model, p2)
@@ -294,7 +313,7 @@ class TestCrossValidate:
         rng = np.random.default_rng(40)
         records, schema = make_records(5, 8, lambda s, n: 9 * s, rng)
         cv = CvConfig(folds=5, runs=1, seed=0)
-        result = cross_validate(records, schema, cv, Hyperparams(n_trees=5))
+        result = cross_validate(records, schema, cv, TreeParams(n_trees=5))
         # 5 contents over 5 folds: every content scored exactly once.
         assert sorted(r.content_id for r in result.rows) == sorted(f"content{i}" for i in range(5))
 
@@ -302,7 +321,7 @@ class TestCrossValidate:
         rng = np.random.default_rng(41)
         records, schema = make_records(4, 10, lambda s, n: 7 * s + 0.5 * n[0], rng)
         cv = CvConfig(folds=2, runs=1, seed=3)
-        result = cross_validate(records, schema, cv, Hyperparams(n_trees=5))
+        result = cross_validate(records, schema, cv, TreeParams(n_trees=5))
         rmses = [v["rmse"] for v in result.per_content.values()]
         assert result.aggregate["rmse"] == pytest.approx(np.mean(rmses))
         by_content = {r.content_id: r.rmse for r in result.rows}
@@ -315,7 +334,7 @@ class TestCrossValidate:
         # held-out GOPs perfectly.
         records, schema = make_records(4, 12, lambda s, n: 10.0 * s, rng, n_noise=1)
         cv = CvConfig(folds=4, runs=2, seed=1)
-        result = cross_validate(records, schema, cv, Hyperparams(n_trees=20), base_features=("signal",))
+        result = cross_validate(records, schema, cv, TreeParams(n_trees=20), base_features=("signal",))
         assert result.aggregate["srocc"] == pytest.approx(1.0)
         for row in result.rows:
             assert row.srocc == pytest.approx(1.0)
@@ -330,8 +349,8 @@ class TestCrossValidate:
         rng = np.random.default_rng(44)
         records, schema = make_records(5, 6, lambda s, n: 4 * s + n[0], rng)
         cv = CvConfig(folds=3, runs=3, seed=7)
-        a = cross_validate(records, schema, cv, Hyperparams(n_trees=4))
-        b = cross_validate(records, schema, cv, Hyperparams(n_trees=4))
+        a = cross_validate(records, schema, cv, TreeParams(n_trees=4))
+        b = cross_validate(records, schema, cv, TreeParams(n_trees=4))
         assert a.rows == b.rows
         assert a.aggregate == b.aggregate
 
@@ -341,7 +360,7 @@ class TestGfs:
         rng = np.random.default_rng(50)
         records, schema = make_records(6, 10, lambda s, n: 10.0 * s, rng)
         cv = CvConfig(folds=3, runs=1, seed=0)
-        result = greedy_feature_selection(records, schema, cv, hyperparams=Hyperparams(n_trees=10), base_features=())
+        result = greedy_feature_selection(records, schema, cv, hyperparams=TreeParams(n_trees=10), base_features=())
         assert result.selected[0] == "signal"
 
     def test_duplicate_candidates_select_one(self):
@@ -354,7 +373,7 @@ class TestGfs:
                 records.append(GopRecord(f"content{c}", g, 1000.0, RES, (v, v), label_jod=10 * v))
         cv = CvConfig(folds=2, runs=1, seed=0)
         result = greedy_feature_selection(
-            records, schema, cv, objective="srocc", hyperparams=Hyperparams(n_trees=5), base_features=()
+            records, schema, cv, objective="srocc", hyperparams=TreeParams(n_trees=5), base_features=()
         )
         assert len(result.selected) == 1
 
@@ -363,7 +382,7 @@ class TestGfs:
         records, schema = make_records(4, 8, lambda s, n: 5 * s, rng)
         cv = CvConfig(folds=2, runs=1, seed=0)
         result = greedy_feature_selection(
-            records, schema, cv, epsilon=float("inf"), hyperparams=Hyperparams(n_trees=5)
+            records, schema, cv, epsilon=float("inf"), hyperparams=TreeParams(n_trees=5)
         )
         assert result.selected == ()
 
@@ -371,7 +390,7 @@ class TestGfs:
         rng = np.random.default_rng(53)
         records, schema = make_records(5, 10, lambda s, n: 6 * s + 2 * n[0], rng)
         cv = CvConfig(folds=3, runs=1, seed=2)
-        result = greedy_feature_selection(records, schema, cv, hyperparams=Hyperparams(n_trees=8), base_features=())
+        result = greedy_feature_selection(records, schema, cv, hyperparams=TreeParams(n_trees=8), base_features=())
         sroccs = [s.score for s in result.steps]
         assert all(b > a for a, b in zip(sroccs, sroccs[1:]))
 
